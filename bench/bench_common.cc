@@ -1,8 +1,10 @@
 #include "bench_common.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <numeric>
 
@@ -236,7 +238,39 @@ std::string ConsumeJsonFlag(int* argc, char** argv) {
     }
   }
   *argc = out;
+  if (!path.empty()) {
+    // Probe with append mode so an existing file is left untouched, and
+    // remove the probe file again if it did not exist before.
+    std::error_code ec;
+    const bool existed = std::filesystem::exists(path, ec);
+    std::FILE* probe = std::fopen(path.c_str(), "a");
+    if (probe == nullptr) {
+      std::fprintf(stderr, "cannot open %s: %s\n", path.c_str(),
+                   std::strerror(errno));
+      std::exit(1);
+    }
+    std::fclose(probe);
+    if (!existed) std::filesystem::remove(path, ec);
+  }
   return path;
+}
+
+bool WriteJsonFile(const std::string& path, const JsonObject& doc) {
+  std::FILE* out = std::fopen(path.c_str(), "w");
+  if (out == nullptr) {
+    std::fprintf(stderr, "cannot open %s: %s\n", path.c_str(),
+                 std::strerror(errno));
+    return false;
+  }
+  const std::string text = doc.Dump() + "\n";
+  const bool written =
+      std::fwrite(text.data(), 1, text.size(), out) == text.size();
+  if (std::fclose(out) != 0 || !written) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::fprintf(stderr, "wrote %s\n", path.c_str());
+  return true;
 }
 
 }  // namespace ariadne::bench

@@ -93,8 +93,13 @@ using json::JsonArray;
 
 /// Removes `--json <path>` / `--json=<path>` from the argument list (so
 /// the rest can go to benchmark::Initialize) and returns the path, or ""
-/// when the flag is absent.
+/// when the flag is absent. An unwritable path exits the process with
+/// status 1 right away, before any sweep runs.
 std::string ConsumeJsonFlag(int* argc, char** argv);
+
+/// Writes `doc` plus a newline to `path` and reports it on stderr;
+/// prints the error and returns false when the file cannot be written.
+bool WriteJsonFile(const std::string& path, const JsonObject& doc);
 
 }  // namespace ariadne::bench
 

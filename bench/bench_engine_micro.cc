@@ -5,9 +5,9 @@
 // faster per message than Giraph's).
 
 // Running with `--json out.json` skips google-benchmark and instead runs
-// the baseline-vs-sharded routing sweep (1M-edge R-MAT, 1/2/4/8 threads,
-// global-lock vs sharded owner-computes), writing one JSON record per
-// configuration — the source of the checked-in BENCH_engine.json.
+// the engine thread sweep (1M-edge R-MAT flood, 1/2/4/8 threads, sharded
+// owner-computes routing), writing one JSON record per configuration —
+// the source of the checked-in BENCH_engine.json.
 
 #include <benchmark/benchmark.h>
 
@@ -133,17 +133,16 @@ void BM_AnalyzeAptQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_AnalyzeAptQuery);
 
-// -------------------------------------------- --json routing sweep mode
+// --------------------------------------------- --json thread sweep mode
 
-/// One timed configuration of the routing sweep. `seconds` is the
+/// One timed configuration of the thread sweep. `seconds` is the
 /// trimmed-mean wall time over BenchReps() runs; the message counts and
 /// phase breakdown come from the last run (they are identical across
 /// runs — the engine is deterministic).
 std::string SweepRow(const Graph& graph, const char* graph_name,
-                     MessageRouting routing, size_t threads, int rounds) {
+                     size_t threads, int rounds) {
   EngineOptions options;
   options.num_threads = threads;
-  options.routing = routing;
   RunStats stats;
   const double seconds = bench::TimedSeconds([&] {
     FloodProgram program(rounds);
@@ -152,14 +151,10 @@ std::string SweepRow(const Graph& graph, const char* graph_name,
     ARIADNE_CHECK(result.ok());
     stats = std::move(*result);
   });
-  const char* routing_name =
-      routing == MessageRouting::kSharded ? "sharded" : "global-lock";
-  std::fprintf(stderr, "  %-11s threads=%zu  %.3fs  %.3g msgs/s\n",
-               routing_name, threads, seconds,
-               static_cast<double>(stats.total_messages) / seconds);
+  std::fprintf(stderr, "  threads=%zu  %.3fs  %.3g msgs/s\n", threads,
+               seconds, static_cast<double>(stats.total_messages) / seconds);
   bench::JsonObject row;
   row.Set("graph", graph_name)
-      .Set("routing", routing_name)
       .Set("threads", static_cast<int64_t>(threads))
       .Set("supersteps", static_cast<int64_t>(stats.supersteps))
       .Set("messages", stats.total_messages)
@@ -173,46 +168,35 @@ std::string SweepRow(const Graph& graph, const char* graph_name,
   return row.Dump();
 }
 
-int RunRoutingSweep(const std::string& json_path) {
+int RunThreadSweep(const std::string& json_path) {
   // 2^16 vertices x avg degree 16 = ~1M edges.
   auto graph = GenerateRmat({.scale = 16, .avg_degree = 16, .seed = 1});
   ARIADNE_CHECK(graph.ok());
   const char* kGraphName = "rmat-s16-d16";
   const int kRounds = 4;
   std::fprintf(stderr,
-               "engine routing sweep: %s (%lld vertices, %lld edges), "
+               "engine thread sweep: %s (%lld vertices, %lld edges), "
                "%d flood rounds, reps=%d\n",
                kGraphName, static_cast<long long>(graph->num_vertices()),
                static_cast<long long>(graph->num_edges()), kRounds,
                bench::BenchReps());
   std::vector<std::string> rows;
-  for (auto routing :
-       {MessageRouting::kGlobalLock, MessageRouting::kSharded}) {
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-      rows.push_back(SweepRow(*graph, kGraphName, routing, threads, kRounds));
-    }
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    rows.push_back(SweepRow(*graph, kGraphName, threads, kRounds));
   }
   bench::JsonObject top;
   bench::JsonObject graph_info;
   graph_info.Set("name", kGraphName)
       .Set("vertices", static_cast<int64_t>(graph->num_vertices()))
       .Set("edges", static_cast<int64_t>(graph->num_edges()));
-  top.Set("bench", "engine_routing_sweep")
+  top.Set("bench", "engine_thread_sweep")
       .SetRaw("graph", graph_info.Dump())
       .Set("flood_rounds", kRounds)
       .Set("reps", bench::BenchReps())
       .Set("host_hardware_threads",
            static_cast<int64_t>(std::thread::hardware_concurrency()))
       .SetRaw("results", bench::JsonArray(rows, 4));
-  std::FILE* out = std::fopen(json_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(out, "%s\n", top.Dump().c_str());
-  std::fclose(out);
-  std::fprintf(stderr, "wrote %s\n", json_path.c_str());
-  return 0;
+  return bench::WriteJsonFile(json_path, top) ? 0 : 1;
 }
 
 }  // namespace
@@ -220,7 +204,7 @@ int RunRoutingSweep(const std::string& json_path) {
 
 int main(int argc, char** argv) {
   const std::string json_path = ariadne::bench::ConsumeJsonFlag(&argc, argv);
-  if (!json_path.empty()) return ariadne::RunRoutingSweep(json_path);
+  if (!json_path.empty()) return ariadne::RunThreadSweep(json_path);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -1,7 +1,7 @@
 // Micro-benchmarks of the storage subsystem: page codec throughput plus,
 // in `--json out.json` mode, an end-to-end sweep measuring append/flush
 // throughput, cold-vs-warm backward layered query latency over a
-// memory-budgeted store, and the compressed-vs-raw spill byte ratio — the
+// memory-budgeted store, and the spill bytes per logical byte — the
 // source of the checked-in BENCH_store.json.
 
 #include <benchmark/benchmark.h>
@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -181,9 +182,9 @@ int RunStoreSweep(const std::string& json_path) {
 
   const auto storage = bounded.storage_stats();
   std::fprintf(stderr,
-               "compression: %llu compressed / %llu raw (ratio %.3f)\n",
+               "compression: %llu compressed / %llu logical (ratio %.3f)\n",
                static_cast<unsigned long long>(storage.compressed_bytes),
-               static_cast<unsigned long long>(storage.raw_serialized_bytes),
+               static_cast<unsigned long long>(storage.logical_bytes),
                storage.CompressionRatio());
 
   bench::JsonObject graph_info;
@@ -210,8 +211,7 @@ int RunStoreSweep(const std::string& json_path) {
   compression
       .Set("compressed_spill_bytes",
            static_cast<int64_t>(storage.compressed_bytes))
-      .Set("raw_serialized_bytes",
-           static_cast<int64_t>(storage.raw_serialized_bytes))
+      .Set("logical_bytes", static_cast<int64_t>(storage.logical_bytes))
       .Set("compression_ratio", storage.CompressionRatio());
   bench::JsonObject top;
   top.Set("bench", "store_micro")
@@ -221,18 +221,12 @@ int RunStoreSweep(const std::string& json_path) {
       .Set("provenance_bytes", static_cast<int64_t>(total_bytes))
       .Set("mem_budget_bytes", static_cast<int64_t>(total_bytes / 4))
       .Set("reps", bench::BenchReps())
+      .Set("host_hardware_threads",
+           static_cast<int64_t>(std::thread::hardware_concurrency()))
       .SetRaw("append_flush", append.Dump())
       .SetRaw("layered_query", query.Dump())
       .SetRaw("compression", compression.Dump());
-  std::FILE* out = std::fopen(json_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(out, "%s\n", top.Dump().c_str());
-  std::fclose(out);
-  std::fprintf(stderr, "wrote %s\n", json_path.c_str());
-  return 0;
+  return bench::WriteJsonFile(json_path, top) ? 0 : 1;
 }
 
 }  // namespace

@@ -67,7 +67,7 @@ class BinaryReader {
 /// directory, fsync, rename over `path`, fsync the directory. A crash at
 /// any instant leaves either the old complete file or the new complete
 /// file — never a torn one (crash_recovery_test proves this under
-/// injected kills). Used by every durable artifact: spill files, APV2
+/// injected kills). Used by every durable artifact: spill files, APV3
 /// store images, checkpoints. Fault points: "file-write" (before any
 /// byte), "file-write-mid" (halfway through the temp file).
 Status WriteFile(const std::string& path, const std::string& data);

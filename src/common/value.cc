@@ -1,6 +1,8 @@
 #include "common/value.h"
 
+#include <cerrno>
 #include <cmath>
+#include <cstdlib>
 #include <functional>
 #include <sstream>
 
@@ -177,6 +179,20 @@ size_t Value::ByteSize() const {
       return sizeof(size_t) + AsDoubleVector().size() * sizeof(double);
   }
   return 0;
+}
+
+Value ParseValueLiteral(const std::string& text) {
+  const char* begin = text.c_str();
+  const char* finish = begin + text.size();
+  if (begin == finish) return Value(text);
+  char* end = nullptr;
+  errno = 0;
+  const long long i = std::strtoll(begin, &end, 10);
+  if (end == finish && errno == 0) return Value(static_cast<int64_t>(i));
+  errno = 0;
+  const double d = std::strtod(begin, &end);
+  if (end == finish && errno == 0) return Value(d);
+  return Value(text);
 }
 
 }  // namespace ariadne

@@ -98,6 +98,13 @@ struct ValueHash {
   size_t operator()(const Value& v) const { return v.Hash(); }
 };
 
+/// Parses a literal given on a command line or in a `%! param` pragma:
+/// the whole text as a base-10 int64 when it is one and in range, else as
+/// a double when it is one and in range, else the text itself as a
+/// string. Out-of-range integers therefore become doubles, never a
+/// clamped int64.
+Value ParseValueLiteral(const std::string& text);
+
 }  // namespace ariadne
 
 #endif  // ARIADNE_COMMON_VALUE_H_

@@ -344,17 +344,9 @@ class OnlineProgram final
           return layer.status().WithContext("checkpointing layer " +
                                             std::to_string(step));
         }
-        // Same per-layer encoding as the APV2 image (default page size),
-        // so resumed stores re-serialize byte-identically.
-        const std::vector<storage::Page> pages =
-            storage::EncodeLayer(**layer, storage::kDefaultPageSize);
-        std::string blob;
-        for (const storage::Page& page : pages) {
-          storage::SerializePage(page, &blob);
-        }
-        segment.WriteI64((*layer)->step);
-        segment.WriteU64(pages.size());
-        segment.WriteString(blob);
+        // Same layer frame as the store image, so resumed stores
+        // re-serialize byte-identically.
+        storage::WriteLayerFrame(**layer, segment);
       }
       ARIADNE_ASSIGN_OR_RETURN(
           segments_valid_bytes_,
@@ -447,7 +439,7 @@ class OnlineProgram final
     for (size_t seg = 0; seg < segments.size(); ++seg) {
       BinaryReader sr(std::move(segments[seg]));
       ARIADNE_ASSIGN_OR_RETURN(uint64_t n_seg_layers, sr.ReadU64());
-      // A layer costs >= 24 bytes (step + page count + blob length).
+      // A layer frame costs >= 24 bytes (step + page count + blob length).
       if (n_seg_layers > sr.remaining() / 24) {
         return Status::ParseError(
             "layer count " + std::to_string(n_seg_layers) +
@@ -455,31 +447,10 @@ class OnlineProgram final
             segments_path);
       }
       for (uint64_t i = 0; i < n_seg_layers; ++i) {
-        ARIADNE_ASSIGN_OR_RETURN(int64_t step, sr.ReadI64());
-        ARIADNE_ASSIGN_OR_RETURN(uint64_t n_pages, sr.ReadU64());
-        ARIADNE_ASSIGN_OR_RETURN(std::string blob, sr.ReadString());
-        if (n_pages > blob.size() / storage::kPageWireHeaderBytes) {
-          return Status::ParseError(
-              "page count " + std::to_string(n_pages) +
-              " exceeds layer blob in segment " + std::to_string(seg) +
-              " of " + segments_path);
-        }
-        Layer layer;
-        layer.step = static_cast<Superstep>(step);
-        size_t offset = 0;
-        for (uint64_t p = 0; p < n_pages; ++p) {
-          auto page = storage::ParsePage(blob, &offset);
-          if (!page.ok()) {
-            return page.status().WithContext(segments_path + " (segment " +
-                                             std::to_string(seg) + ")");
-          }
-          Status decoded = storage::DecodePage(*page, &layer);
-          if (!decoded.ok()) {
-            return decoded.WithContext(segments_path + " (segment " +
-                                       std::to_string(seg) + ", page " +
-                                       std::to_string(p) + ")");
-          }
-        }
+        ARIADNE_ASSIGN_OR_RETURN(
+            Layer layer,
+            storage::ReadLayerFrame(sr, segments_path + " (segment " +
+                                            std::to_string(seg) + ")"));
         if (layer.step != appended) {
           return Status::ParseError(
               "segment " + std::to_string(seg) + " of " + segments_path +

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/serialize.h"
+#include "eval/common.h"
 #include "pql/analysis.h"
 #include "pql/catalog.h"
 #include "pql/diagnostics.h"
@@ -36,6 +37,10 @@ constexpr char kUsage[] =
     "  --offline                 reject transient capture-time EDBs\n"
     "  --disable CODE            suppress a diagnostic code (e.g. PQL3002)\n"
     "  --explain CODE            print the description of a code and exit\n"
+    "  --explain FILE            lint FILE; if it analyzes cleanly, also\n"
+    "                            print its analysis, eligible eval modes,\n"
+    "                            capture path and output tables (text\n"
+    "                            format only)\n"
     "\n"
     "Files may embed per-file directives in `%!` comment pragmas:\n"
     "  %! stored prov-value/3\n"
@@ -43,21 +48,10 @@ constexpr char kUsage[] =
     "  %! param sigma=3\n"
     "\n"
     "Unbound $parameters are bound to 0 for linting (use --param for\n"
-    "realistic values); pql_check keeps the strict contract.\n"
+    "realistic values).\n"
     "\n"
     "exit codes: 0 clean/warnings, 1 errors (or warnings with --Werror),\n"
     "2 usage or IO error\n";
-
-Value ParseValueLiteral(const std::string& text) {
-  if (!text.empty()) {
-    char* end = nullptr;
-    const long long i = std::strtoll(text.c_str(), &end, 10);
-    if (end != nullptr && *end == '\0') return Value(static_cast<int64_t>(i));
-    const double d = std::strtod(text.c_str(), &end);
-    if (end != nullptr && *end == '\0') return Value(d);
-  }
-  return Value(text);
-}
 
 struct DriverConfig {
   std::string format = "text";
@@ -114,9 +108,12 @@ DriverConfig MergePragmas(const DriverConfig& base, const std::string& source) {
   return cfg;
 }
 
-/// Parses, analyzes and lints one source buffer into `sink`.
-void LintSource(const std::string& file, const std::string& source,
-                const DriverConfig& cfg, DiagnosticSink& sink) {
+/// Parses, analyzes and lints one source buffer into `sink`. Returns the
+/// analyzed query when the program parsed and analyzed without errors.
+std::optional<AnalyzedQuery> LintSource(const std::string& file,
+                                        const std::string& source,
+                                        const DriverConfig& cfg,
+                                        DiagnosticSink& sink) {
   sink.SetSource(file, source);
   Program program = ParseProgram(source, sink);
   const std::set<std::string> program_params = program.UnboundParameters();
@@ -169,6 +166,37 @@ void LintSource(const std::string& file, const std::string& source,
   input.program_params = program_params;
   RunLintPasses(input, lopts, sink);
   sink.SortBySpan();
+  return query;
+}
+
+/// The classification a developer needs before running a query: the
+/// analysis dump (strata, rule directions, shipped relations), the
+/// evaluation modes it is eligible for, the capture path and the output
+/// tables.
+std::string ExplainQuery(const AnalyzedQuery& query) {
+  std::string out = query.DebugString();
+  out += "eligible evaluation modes:";
+  for (EvalMode mode :
+       {EvalMode::kOnline, EvalMode::kLayered, EvalMode::kNaive}) {
+    if (ValidateMode(query, mode).ok()) {
+      out += std::string(" ") + EvalModeToString(mode);
+    }
+  }
+  out += "\n";
+  if (query.fast_capture().has_value()) {
+    out += "capture: compiled fast path (" +
+           std::to_string(query.fast_capture()->projections.size()) +
+           " projection(s))\n";
+  } else {
+    out += "capture: interpreted\n";
+  }
+  out += "output tables:";
+  for (int pred : query.output_preds()) {
+    out += " " + query.pred(pred).name + "/" +
+           std::to_string(query.pred(pred).arity);
+  }
+  out += "\n";
+  return out;
 }
 
 }  // namespace
@@ -177,6 +205,7 @@ int RunAriadneLint(const std::vector<std::string>& args, std::string* out,
                    std::string* err) {
   DriverConfig cfg;
   std::vector<std::string> inputs;
+  bool explain = false;
 
   auto flag_value = [&](size_t& i, const std::string& flag,
                         std::string* value) {
@@ -232,13 +261,12 @@ int RunAriadneLint(const std::vector<std::string>& args, std::string* out,
       cfg.disabled.insert(v);
     } else if (a == "--explain") {
       if (!flag_value(i, a, &v)) return 2;
-      const char* desc = DiagCodeDescription(v);
-      if (desc == nullptr) {
-        *err += "ariadne_lint: unknown diagnostic code '" + v + "'\n";
-        return 2;
+      if (const char* desc = DiagCodeDescription(v)) {
+        *out += v + ": " + desc + "\n";
+        return 0;
       }
-      *out += v + ": " + desc + "\n";
-      return 0;
+      explain = true;  // not a code: lint it as an input and explain it
+      inputs.push_back(v);
     } else if (!a.empty() && a[0] == '-') {
       *err += "ariadne_lint: unknown option '" + a + "'\n" + kUsage;
       return 2;
@@ -248,6 +276,10 @@ int RunAriadneLint(const std::vector<std::string>& args, std::string* out,
   }
   if (inputs.empty()) {
     *err += kUsage;
+    return 2;
+  }
+  if (explain && cfg.format != "text") {
+    *err += "ariadne_lint: --explain FILE needs --format text\n";
     return 2;
   }
 
@@ -292,7 +324,8 @@ int RunAriadneLint(const std::vector<std::string>& args, std::string* out,
     }
     DriverConfig file_cfg = MergePragmas(cfg, *source);
     DiagnosticSink sink;
-    LintSource(file, *source, file_cfg, sink);
+    std::optional<AnalyzedQuery> query =
+        LintSource(file, *source, file_cfg, sink);
 
     if (cfg.fix) {
       int applied = 0;
@@ -309,7 +342,7 @@ int RunAriadneLint(const std::vector<std::string>& args, std::string* out,
         // Re-lint the rewritten source; remaining diagnostics are what
         // the user still has to address by hand.
         DiagnosticSink fixed_sink;
-        LintSource(file, fixed, file_cfg, fixed_sink);
+        query = LintSource(file, fixed, file_cfg, fixed_sink);
         sink = std::move(fixed_sink);
       }
     }
@@ -318,6 +351,9 @@ int RunAriadneLint(const std::vector<std::string>& args, std::string* out,
     total_warnings += sink.warning_count();
     if (cfg.format == "text") {
       *out += sink.RenderText();
+      if (explain && query.has_value() && !sink.has_errors()) {
+        *out += ExplainQuery(*query);
+      }
     } else {
       FileLintResult result;
       result.file = file;

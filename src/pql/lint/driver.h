@@ -10,7 +10,12 @@ namespace ariadne::lint {
 /// `args` excludes argv[0]; normal output is appended to `out`,
 /// usage/IO errors to `err`.
 ///
-/// Exit codes (same contract as pql_check):
+/// `--explain FILE` lints FILE like any other input and, when it
+/// analyzes cleanly, appends its classification (analysis dump, eligible
+/// eval modes, capture path, output tables); it never changes the exit
+/// code.
+///
+/// Exit codes:
 ///   0  clean, or warnings only (without --Werror)
 ///   1  diagnostics with error severity, or warnings under --Werror
 ///   2  usage error or file IO failure

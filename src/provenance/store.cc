@@ -10,17 +10,20 @@ namespace ariadne {
 
 namespace {
 
-constexpr uint32_t kStoreMagicV1 = 0x41505631;  ///< legacy row-major image
-constexpr uint32_t kStoreMagicV2 = 0x41505632;  ///< page-compressed image
+/// Image magic: "APV" + format version. Versions 1 (row-major layers)
+/// and 2 (row-major static layer) are no longer read.
+constexpr uint32_t kStoreMagicBase = 0x41505600;
+constexpr uint32_t kStoreVersion = 3;
+constexpr uint32_t kStoreMagic = kStoreMagicBase | ('0' + kStoreVersion);
 
-/// Bytes before the checksummed body of an APV2 image:
+/// Bytes before the checksummed body of an image:
 /// [u32 magic][u32 flags][u64 fnv1a(body)].
-constexpr size_t kV2HeaderBytes = 4 + 4 + 8;
+constexpr size_t kHeaderBytes = 4 + 4 + 8;
 
 /// Header flags bit 0: the image holds a *degraded* capture — the body
 /// starts with a degraded-metadata section (see SerializeToString) and
 /// layered eval refuses full-history queries over the loaded store.
-constexpr uint32_t kV2FlagDegraded = 1u;
+constexpr uint32_t kFlagDegraded = 1u;
 
 }  // namespace
 
@@ -114,7 +117,7 @@ Result<std::string> ProvenanceStore::SerializeToString() const {
   BinaryWriter body;
   if (degraded()) {
     // Degraded section comes first (gated by header flags bit 0), so a
-    // complete capture's image is byte-for-byte the classic APV2 layout.
+    // complete capture's image has no trace of it.
     body.WriteI64(degraded_at_);
     body.WriteString(degraded_reason_);
     body.WriteU64(surviving_rels_.size());
@@ -125,7 +128,10 @@ Result<std::string> ProvenanceStore::SerializeToString() const {
     body.WriteString(rel.name);
     body.WriteU32(static_cast<uint32_t>(rel.arity));
   }
-  SerializeLayer(static_layer_, body);
+  // The static layer and every superstep layer share one frame format;
+  // frames always hold default-size pages, so the image bytes do not
+  // depend on the spill configuration the store ran under.
+  storage::WriteLayerFrame(static_layer_, body);
   const int n_layers = layers_->num_layers();
   body.WriteU64(static_cast<uint64_t>(n_layers));
   for (int step = 0; step < n_layers; ++step) {
@@ -134,21 +140,11 @@ Result<std::string> ProvenanceStore::SerializeToString() const {
       return layer.status().WithContext("saving layer " +
                                         std::to_string(step));
     }
-    // Always re-encode with the default page size: the image bytes are
-    // then independent of the spill configuration the store ran under.
-    const std::vector<storage::Page> pages =
-        storage::EncodeLayer(**layer, storage::kDefaultPageSize);
-    std::string blob;
-    for (const storage::Page& page : pages) {
-      storage::SerializePage(page, &blob);
-    }
-    body.WriteI64((*layer)->step);
-    body.WriteU64(pages.size());
-    body.WriteString(blob);
+    storage::WriteLayerFrame(**layer, body);
   }
   BinaryWriter out;
-  out.WriteU32(kStoreMagicV2);
-  out.WriteU32(degraded() ? kV2FlagDegraded : 0);
+  out.WriteU32(kStoreMagic);
+  out.WriteU32(degraded() ? kFlagDegraded : 0);
   out.WriteU64(storage::Fnv1a(body.data()));
   std::string file = out.MoveData();
   file += body.data();
@@ -157,50 +153,8 @@ Result<std::string> ProvenanceStore::SerializeToString() const {
 
 namespace {
 
-Result<ProvenanceStore> LoadLegacyV1(BinaryReader& reader,
-                                     const std::string& path) {
-  ProvenanceStore store;
-  ARIADNE_ASSIGN_OR_RETURN(uint64_t n_rels, reader.ReadU64());
-  // A schema entry costs >= 12 bytes (length-prefixed name + arity).
-  if (n_rels > reader.remaining() / 12) {
-    return Status::ParseError("relation count " + std::to_string(n_rels) +
-                              " exceeds remaining bytes in " + path +
-                              " at offset " + std::to_string(reader.pos()));
-  }
-  for (uint64_t i = 0; i < n_rels; ++i) {
-    ARIADNE_ASSIGN_OR_RETURN(std::string name, reader.ReadString());
-    ARIADNE_ASSIGN_OR_RETURN(uint32_t arity, reader.ReadU32());
-    store.AddRelation(name, static_cast<int>(arity));
-  }
-  {
-    auto layer = DeserializeLayer(reader);
-    if (!layer.ok()) return layer.status().WithContext(path);
-    store.static_layer() = std::move(layer).value();
-  }
-  ARIADNE_ASSIGN_OR_RETURN(uint64_t n_layers, reader.ReadU64());
-  if (n_layers > reader.remaining() / 16) {
-    return Status::ParseError("layer count " + std::to_string(n_layers) +
-                              " exceeds remaining bytes in " + path +
-                              " at offset " + std::to_string(reader.pos()));
-  }
-  for (uint64_t i = 0; i < n_layers; ++i) {
-    auto layer = DeserializeLayer(reader);
-    if (!layer.ok()) {
-      return layer.status().WithContext(path + " (layer " +
-                                        std::to_string(i) + ")");
-    }
-    ARIADNE_RETURN_NOT_OK(store.AppendLayer(std::move(layer).value()));
-  }
-  if (!reader.AtEnd()) {
-    return Status::ParseError(std::to_string(reader.remaining()) +
-                              " trailing byte(s) in " + path +
-                              " after layer data");
-  }
-  return store;
-}
-
-Result<ProvenanceStore> LoadV2(BinaryReader& reader, const std::string& path,
-                               bool degraded) {
+Result<ProvenanceStore> LoadBody(BinaryReader& reader, const std::string& path,
+                                 bool degraded) {
   ProvenanceStore store;
   if (degraded) {
     ARIADNE_ASSIGN_OR_RETURN(int64_t at_step, reader.ReadI64());
@@ -231,47 +185,22 @@ Result<ProvenanceStore> LoadV2(BinaryReader& reader, const std::string& path,
     store.AddRelation(name, static_cast<int>(arity));
   }
   {
-    auto layer = DeserializeLayer(reader);
-    if (!layer.ok()) return layer.status().WithContext(path);
+    auto layer = storage::ReadLayerFrame(reader, path + " (static layer)");
+    if (!layer.ok()) return layer.status();
     store.static_layer() = std::move(layer).value();
   }
   ARIADNE_ASSIGN_OR_RETURN(uint64_t n_layers, reader.ReadU64());
-  // A layer costs >= 24 bytes (step + page count + blob length).
+  // A layer frame costs >= 24 bytes (step + page count + blob length).
   if (n_layers > reader.remaining() / 24) {
     return Status::ParseError("layer count " + std::to_string(n_layers) +
                               " exceeds remaining bytes in " + path +
                               " at offset " + std::to_string(reader.pos()));
   }
   for (uint64_t i = 0; i < n_layers; ++i) {
-    ARIADNE_ASSIGN_OR_RETURN(int64_t step, reader.ReadI64());
-    ARIADNE_ASSIGN_OR_RETURN(uint64_t n_pages, reader.ReadU64());
-    ARIADNE_ASSIGN_OR_RETURN(std::string blob, reader.ReadString());
-    if (n_pages > blob.size() / storage::kPageWireHeaderBytes) {
-      return Status::ParseError("page count " + std::to_string(n_pages) +
-                                " exceeds layer blob in " + path +
-                                " (layer " + std::to_string(i) + ")");
-    }
-    Layer layer;
-    layer.step = static_cast<Superstep>(step);
-    size_t offset = 0;
-    for (uint64_t p = 0; p < n_pages; ++p) {
-      auto page = storage::ParsePage(blob, &offset);
-      if (!page.ok()) {
-        return page.status().WithContext(path + " (layer " +
-                                         std::to_string(i) + ")");
-      }
-      Status decoded = storage::DecodePage(*page, &layer);
-      if (!decoded.ok()) {
-        return decoded.WithContext(path + " (layer " + std::to_string(i) +
-                                   ", page " + std::to_string(p) + ")");
-      }
-    }
-    if (offset != blob.size()) {
-      return Status::ParseError(std::to_string(blob.size() - offset) +
-                                " trailing byte(s) in layer blob of " + path +
-                                " (layer " + std::to_string(i) + ")");
-    }
-    ARIADNE_RETURN_NOT_OK(store.AppendLayer(std::move(layer)));
+    auto layer = storage::ReadLayerFrame(
+        reader, path + " (layer " + std::to_string(i) + ")");
+    if (!layer.ok()) return layer.status();
+    ARIADNE_RETURN_NOT_OK(store.AppendLayer(std::move(layer).value()));
   }
   if (!reader.AtEnd()) {
     return Status::ParseError(std::to_string(reader.remaining()) +
@@ -302,28 +231,31 @@ Result<ProvenanceStore> ProvenanceStore::LoadFromBytes(
   }
   uint32_t magic;
   std::memcpy(&magic, data.data(), sizeof(magic));
-  if (magic == kStoreMagicV1) {
-    BinaryReader reader(std::move(data));
-    (void)reader.ReadU32();  // magic, just validated
-    return LoadLegacyV1(reader, origin);
-  }
-  if (magic != kStoreMagicV2) {
+  if (magic != kStoreMagic) {
+    const char version = static_cast<char>(magic & 0xff);
+    if ((magic & ~uint32_t{0xff}) == kStoreMagicBase && version >= '1' &&
+        version < '0' + static_cast<char>(kStoreVersion)) {
+      return Status::ParseError(
+          "provenance store image " + origin + " is format APV" + version +
+          ", which this build no longer reads (it reads APV" +
+          std::to_string(kStoreVersion) + ")");
+    }
     return Status::ParseError("bad provenance store magic in " + origin);
   }
-  if (data.size() < kV2HeaderBytes) {
+  if (data.size() < kHeaderBytes) {
     return Status::ParseError("truncated provenance store header in " +
                               origin);
   }
   uint32_t flags;
   std::memcpy(&flags, data.data() + 4, sizeof(flags));
-  if ((flags & ~kV2FlagDegraded) != 0) {
+  if ((flags & ~kFlagDegraded) != 0) {
     return Status::ParseError("unsupported provenance store flags " +
                               std::to_string(flags) + " in " + origin);
   }
   uint64_t checksum;
   std::memcpy(&checksum, data.data() + 8, sizeof(checksum));
   const uint64_t actual = storage::Fnv1a(
-      std::string_view(data).substr(kV2HeaderBytes));
+      std::string_view(data).substr(kHeaderBytes));
   if (actual != checksum) {
     return Status::ParseError("provenance store checksum mismatch in " +
                               origin);
@@ -332,7 +264,7 @@ Result<ProvenanceStore> ProvenanceStore::LoadFromBytes(
   (void)reader.ReadU32();  // magic
   (void)reader.ReadU32();  // flags
   (void)reader.ReadU64();  // checksum, just verified
-  return LoadV2(reader, origin, (flags & kV2FlagDegraded) != 0);
+  return LoadBody(reader, origin, (flags & kFlagDegraded) != 0);
 }
 
 }  // namespace ariadne

@@ -104,17 +104,18 @@ class ProvenanceStore {
   /// Flusher / page-cache / read-path counters of the storage subsystem.
   storage::StorageStats storage_stats() const { return layers_->stats(); }
 
-  /// Serializes the whole store (schema + static + layers) / reloads it.
-  /// Writes the page-compressed "APV2" image; the bytes are identical for
-  /// any spill configuration or engine thread count. LoadFromFile also
-  /// accepts the legacy row-major "APV1" format.
+  /// Serializes the whole store / reloads it. The "APV3" image is the
+  /// schema followed by one layer frame (storage/page.h) for the static
+  /// layer and one per superstep; its bytes are identical for any spill
+  /// configuration or engine thread count. Images of the retired APV1 and
+  /// APV2 formats are refused with a ParseError naming the version.
   Status SaveToFile(const std::string& path) const;
   static Result<ProvenanceStore> LoadFromFile(const std::string& path);
 
-  /// The framed APV2 image as bytes / its inverse. SaveToFile and
-  /// LoadFromFile are thin wrappers; checkpoints embed the image bytes in
-  /// the engine's program-state blob (`origin` names the byte source in
-  /// parse errors, the way LoadFromFile uses the path).
+  /// The APV3 image as bytes / its inverse. SaveToFile and LoadFromFile
+  /// are thin wrappers; tests compare images through these (`origin`
+  /// names the byte source in parse errors, the way LoadFromFile uses the
+  /// path).
   Result<std::string> SerializeToString() const;
   static Result<ProvenanceStore> LoadFromBytes(std::string data,
                                                const std::string& origin);
@@ -123,7 +124,7 @@ class ProvenanceStore {
 
   /// Records that capture stopped being complete at `at_step`: from that
   /// superstep on, only `surviving_rels` (store relation ids; empty =
-  /// capture fully off) keep being captured. Persisted in the APV2 image
+  /// capture fully off) keep being captured. Persisted in the APV3 image
   /// (header flags bit 0), so eval refusal survives save/load.
   void MarkDegraded(Superstep at_step, std::vector<int> surviving_rels,
                     std::string reason);

@@ -4,8 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "common/serialize.h"
-#include "common/status.h"
 #include "engine/types.h"
 #include "pql/relation.h"
 
@@ -22,6 +20,9 @@ struct LayerSlice {
   int rel = 0;  ///< index into ProvenanceStore schema
   VertexId vertex = 0;
   std::vector<Tuple> tuples;
+
+  /// Value-level equality (strict: Value(1) != Value(1.0)).
+  bool operator==(const LayerSlice&) const = default;
 };
 
 /// One layer of the provenance graph (Definition 5.1): everything captured
@@ -41,14 +42,10 @@ struct Layer {
   /// scheduling order, and canonicalizing makes the stored provenance —
   /// and its serialized bytes — identical for any engine thread count.
   void Canonicalize();
-};
 
-/// Row-major layer serialization — the legacy ("APV1") wire format, kept
-/// for on-disk compatibility and as the uncompressed baseline that the
-/// storage stats' compression ratio is measured against. New spill files
-/// and store images use the page codec (storage/page.h) instead.
-void SerializeLayer(const Layer& layer, BinaryWriter& writer);
-Result<Layer> DeserializeLayer(BinaryReader& reader);
+  /// Value-level equality of step, slices (in order) and byte size.
+  bool operator==(const Layer&) const = default;
+};
 
 }  // namespace ariadne
 

@@ -148,8 +148,6 @@ void LayerStore::FlushEntry(Entry* entry) {
       refs.push_back(ref);
     }
   }
-  BinaryWriter raw;
-  SerializeLayer(*layer, raw);
   const std::string path =
       options_.dir + "/layer_" + std::to_string(layer->step) + ".apg";
   // Bounded retry with exponential backoff + jitter (common/retry.h):
@@ -187,7 +185,7 @@ void LayerStore::FlushEntry(Entry* entry) {
       ++stats_.layers_flushed;
       stats_.pages_written += pages.size();
       stats_.compressed_bytes += page_bytes;
-      stats_.raw_serialized_bytes += raw.size();
+      stats_.logical_bytes += layer->byte_size;
       stats_.flush_seconds += seconds;
       EvictResidentsLocked();
     } else if (!degraded_ && entry->quarantines == 0) {

@@ -66,9 +66,9 @@ struct StorageStats {
   uint64_t pages_written = 0;
   /// Page wire bytes written to spill files.
   uint64_t compressed_bytes = 0;
-  /// SerializeLayer (row-major uncompressed) bytes of the same layers —
-  /// the denominator of the compression ratio.
-  uint64_t raw_serialized_bytes = 0;
+  /// Logical (TupleByteSize) bytes of the same layers, i.e. the sum of
+  /// their byte_size — the denominator of the compression ratio.
+  uint64_t logical_bytes = 0;
   uint64_t pages_read = 0;  ///< pages parsed from disk (incl. prefetch)
   uint64_t prefetch_requests = 0;
   uint64_t prefetch_pages = 0;
@@ -90,11 +90,11 @@ struct StorageStats {
   uint64_t cache_evictions = 0;
   uint64_t cache_bytes = 0;  ///< current
 
+  /// Spill-file bytes per logical byte of the flushed layers.
   double CompressionRatio() const {
-    return raw_serialized_bytes == 0
-               ? 1.0
-               : static_cast<double>(compressed_bytes) /
-                     static_cast<double>(raw_serialized_bytes);
+    return logical_bytes == 0 ? 1.0
+                              : static_cast<double>(compressed_bytes) /
+                                    static_cast<double>(logical_bytes);
   }
   /// Counter movement since `before` (an earlier stats() snapshot);
   /// current-value fields (`cache_bytes`, `degraded`) carry the current
@@ -106,7 +106,7 @@ struct StorageStats {
     d.layers_flushed -= before.layers_flushed;
     d.pages_written -= before.pages_written;
     d.compressed_bytes -= before.compressed_bytes;
-    d.raw_serialized_bytes -= before.raw_serialized_bytes;
+    d.logical_bytes -= before.logical_bytes;
     d.pages_read -= before.pages_read;
     d.prefetch_requests -= before.prefetch_requests;
     d.prefetch_pages -= before.prefetch_pages;

@@ -459,4 +459,60 @@ Result<Page> ParsePage(std::string_view data, size_t* offset) {
   return page;
 }
 
+void WriteLayerFrame(const Layer& layer, BinaryWriter& writer) {
+  const std::vector<Page> pages = EncodeLayer(layer, kDefaultPageSize);
+  std::string blob;
+  for (const Page& page : pages) SerializePage(page, &blob);
+  writer.WriteI64(layer.step);
+  writer.WriteU64(pages.size());
+  writer.WriteString(blob);
+}
+
+namespace {
+
+/// The fixed fields of a layer frame, before any page is parsed.
+struct LayerFrame {
+  int64_t step = 0;
+  uint64_t n_pages = 0;
+  std::string blob;
+};
+
+Result<LayerFrame> ReadLayerFrameFields(BinaryReader& reader) {
+  LayerFrame frame;
+  ARIADNE_ASSIGN_OR_RETURN(frame.step, reader.ReadI64());
+  ARIADNE_ASSIGN_OR_RETURN(frame.n_pages, reader.ReadU64());
+  ARIADNE_ASSIGN_OR_RETURN(frame.blob, reader.ReadString());
+  return frame;
+}
+
+}  // namespace
+
+Result<Layer> ReadLayerFrame(BinaryReader& reader, const std::string& where) {
+  const std::string at =
+      where + " at offset " + std::to_string(reader.pos());
+  auto frame = ReadLayerFrameFields(reader);
+  if (!frame.ok()) return frame.status().WithContext("layer frame in " + at);
+  const std::string& blob = frame->blob;
+  if (frame->n_pages > blob.size() / kPageWireHeaderBytes) {
+    return Status::ParseError("page count " + std::to_string(frame->n_pages) +
+                              " exceeds layer blob in " + at);
+  }
+  Layer layer;
+  layer.step = static_cast<Superstep>(frame->step);
+  size_t offset = 0;
+  for (uint64_t p = 0; p < frame->n_pages; ++p) {
+    auto page = ParsePage(blob, &offset);
+    if (!page.ok()) return page.status().WithContext(where);
+    Status decoded = DecodePage(*page, &layer);
+    if (!decoded.ok()) {
+      return decoded.WithContext(where + " page " + std::to_string(p));
+    }
+  }
+  if (offset != blob.size()) {
+    return Status::ParseError(std::to_string(blob.size() - offset) +
+                              " trailing byte(s) in layer blob of " + at);
+  }
+  return layer;
+}
+
 }  // namespace ariadne::storage

@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/serialize.h"
 #include "common/status.h"
 #include "storage/layer.h"
 
@@ -123,6 +124,23 @@ void SerializePage(const Page& page, std::string* out);
 /// `*offset` past it. Checks the magic, bounds and payload checksum;
 /// errors mention the byte offset of the failure.
 Result<Page> ParsePage(std::string_view data, size_t* offset);
+
+// ---- Layer frame ----
+//
+// The on-disk form of one whole layer outside the spill files: the store
+// image (static layer and every superstep layer) and the checkpoint
+// segments sidecar both hold a sequence of these frames.
+
+/// Appends [step i64][n_pages u64][page blob (u64 length + pages)] to
+/// `writer`, the pages encoded at kDefaultPageSize so the bytes do not
+/// depend on any spill configuration.
+void WriteLayerFrame(const Layer& layer, BinaryWriter& writer);
+
+/// Parses one layer frame from `reader`. Bounds the page count by the
+/// blob size and rejects trailing bytes in the blob; every error carries
+/// `where` (the file and layer being read) and, for structural errors,
+/// the byte offset.
+Result<Layer> ReadLayerFrame(BinaryReader& reader, const std::string& where);
 
 }  // namespace ariadne::storage
 

@@ -77,7 +77,7 @@ class ChaosSoakTest : public testing::Test {
   }
 
   /// SSSP full capture into `store` (optionally over paged vertex state),
-  /// returning the APV2 image.
+  /// returning the APV3 image.
   Result<std::string> CaptureImage(ProvenanceStore* store,
                                    const std::string& subdir,
                                    bool paged_vertex_state,

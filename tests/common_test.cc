@@ -129,6 +129,25 @@ TEST(ValueTest, ToStringForms) {
   EXPECT_EQ(Value(std::vector<double>{1, 2}).ToString(), "[1,2]");
 }
 
+TEST(ValueTest, ParseValueLiteral) {
+  EXPECT_EQ(ParseValueLiteral("42"), Value(int64_t{42}));
+  EXPECT_EQ(ParseValueLiteral("-7"), Value(int64_t{-7}));
+  EXPECT_EQ(ParseValueLiteral("2.5"), Value(2.5));
+  EXPECT_EQ(ParseValueLiteral("1e3"), Value(1000.0));
+  EXPECT_EQ(ParseValueLiteral("abc"), Value("abc"));
+  EXPECT_EQ(ParseValueLiteral("12abc"), Value("12abc"));
+  EXPECT_EQ(ParseValueLiteral(""), Value(""));
+  // Integers outside int64 fall back to a double instead of clamping to
+  // INT64_MAX/INT64_MIN; doubles outside double range stay strings.
+  EXPECT_EQ(ParseValueLiteral("9223372036854775807"),
+            Value(int64_t{9223372036854775807}));
+  EXPECT_EQ(ParseValueLiteral("9223372036854775808"),
+            Value(9223372036854775808.0));
+  EXPECT_EQ(ParseValueLiteral("-9223372036854775809"),
+            Value(-9223372036854775809.0));
+  EXPECT_EQ(ParseValueLiteral("1e999"), Value("1e999"));
+}
+
 // ---------------------------------------------------------------- Serialize
 
 TEST(SerializeTest, PrimitivesRoundTrip) {

@@ -2,7 +2,7 @@
 // superstep — via the deterministic fault injector's kCrash rules, in a
 // forked child so the _Exit(42) cannot take the test down — must resume
 // from its last checkpoint and produce byte-identical final vertex values
-// AND a byte-identical APV2 store image, at 1 and 4 engine threads.
+// AND a byte-identical APV3 store image, at 1 and 4 engine threads.
 // Also proves atomic SaveToFile: a crash mid-write never leaves a torn
 // destination image.
 

@@ -1,7 +1,7 @@
 // Determinism of the sharded owner-computes engine (DESIGN.md §2): vertex
 // values, run statistics, and captured provenance must be identical —
-// bit-for-bit — for any thread count, chunk size, shard multiplier, and
-// routing mode. CI also runs this binary under ThreadSanitizer (the
+// bit-for-bit — for any thread count, chunk size and shard multiplier.
+// CI also runs this binary under ThreadSanitizer (the
 // `tsan` preset) to keep the lock-free merge phase race-clean.
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "common/serialize.h"
 #include "core/ariadne.h"
 
 namespace ariadne {
@@ -110,20 +109,6 @@ TEST_P(ThreadCountTest, WccIdenticalAcrossChunkAndShardGeometry) {
 INSTANTIATE_TEST_SUITE_P(Threads, ThreadCountTest,
                          testing::Values(size_t{2}, size_t{4}, size_t{8}));
 
-// --------------------------------------------- routing-mode equivalence
-
-TEST(RoutingModeTest, GlobalLockMatchesShardedValues) {
-  const Graph g = TestWeb();
-  EngineOptions sharded;
-  sharded.num_threads = 4;
-  auto a = RunWith<SsspProgram>(g, sharded, [] { return SsspProgram(0); });
-  EngineOptions locked;
-  locked.num_threads = 4;
-  locked.routing = MessageRouting::kGlobalLock;
-  auto b = RunWith<SsspProgram>(g, locked, [] { return SsspProgram(0); });
-  for (size_t v = 0; v < a.size(); ++v) EXPECT_EQ(a[v], b[v]);
-}
-
 // -------------------------------------------------- dropped-message stats
 
 /// Vertex 0 sends one message to a configurable (possibly invalid) target
@@ -149,19 +134,16 @@ class WildSenderProgram final : public VertexProgram<int64_t, int64_t> {
 TEST(DroppedMessageTest, OutOfRangeTargetsAreCountedNotSilent) {
   auto g = GenerateChain(4);
   ASSERT_TRUE(g.ok());
-  for (auto routing : {MessageRouting::kSharded, MessageRouting::kGlobalLock}) {
-    EngineOptions options;
-    options.routing = routing;
-    options.num_threads = 2;
-    Engine<int64_t, int64_t> engine(&*g, options);
-    WildSenderProgram program({-1, 2, 1000, 3});
-    auto stats = engine.Run(program);
-    ASSERT_TRUE(stats.ok());
-    EXPECT_EQ(stats->dropped_messages, 2);  // -1 and 1000
-    EXPECT_EQ(stats->total_messages, 4);    // drops still count as sends
-    EXPECT_EQ(engine.value(2), 7);
-    EXPECT_EQ(engine.value(3), 7);
-  }
+  EngineOptions options;
+  options.num_threads = 2;
+  Engine<int64_t, int64_t> engine(&*g, options);
+  WildSenderProgram program({-1, 2, 1000, 3});
+  auto stats = engine.Run(program);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->dropped_messages, 2);  // -1 and 1000
+  EXPECT_EQ(stats->total_messages, 4);    // drops still count as sends
+  EXPECT_EQ(engine.value(2), 7);
+  EXPECT_EQ(engine.value(3), 7);
 }
 
 TEST(DroppedMessageTest, CleanRunReportsZero) {
@@ -239,14 +221,9 @@ std::string CaptureBytes(const Graph& g, size_t threads) {
   ProvenanceStore store;
   SsspProgram sssp(0);
   ARIADNE_CHECK(session.Capture(sssp, *query, &store).ok());
-  BinaryWriter writer;
-  SerializeLayer(store.static_data(), writer);
-  for (int i = 0; i < store.num_layers(); ++i) {
-    auto layer = store.GetLayer(i);
-    ARIADNE_CHECK(layer.ok());
-    SerializeLayer(**layer, writer);
-  }
-  return writer.MoveData();
+  auto image = store.SerializeToString();
+  ARIADNE_CHECK(image.ok());
+  return std::move(image).value();
 }
 
 TEST(CaptureDeterminismTest, FullCaptureBytesIdenticalAcrossThreadCounts) {

@@ -2,7 +2,7 @@
 //
 // The out-of-core contract is exact equivalence, not approximation: for
 // any thread count and any byte budget, a paged run must produce
-// byte-identical vertex values, a byte-identical APV2 capture image, and
+// byte-identical vertex values, a byte-identical APV3 capture image, and
 // identical PQL query results to the in-memory run. These tests sweep
 // budgets of 100%/50%/25% of the topology footprint and 1/4 compute
 // threads over every backend combination (paged topology x paged vertex
@@ -197,7 +197,7 @@ TEST(GraphBackendTest, SsspByteIdenticalUnderTightBudget) {
   std::filesystem::remove(path);
 }
 
-/// Captures full provenance of PageRank over `g` and returns the APV2
+/// Captures full provenance of PageRank over `g` and returns the APV3
 /// store image plus the final values.
 void CaptureImage(const Graph& g, size_t threads, bool paged_vs,
                   std::string* image, std::vector<double>* values) {

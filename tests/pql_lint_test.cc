@@ -356,6 +356,37 @@ TEST(DriverTest, PragmasConfigureStoreOfflineAndParams) {
   EXPECT_EQ(run.exit_code, 0) << run.out;
 }
 
+TEST(DriverTest, ExplainFilePrintsClassificationAfterDiagnostics) {
+  DriverRun run = RunDriver(
+      {"--explain", std::string(kExamplesDir) + "/capture_full.pql"});
+  EXPECT_EQ(run.exit_code, 0) << run.out << run.err;
+  const size_t modes = run.out.find("eligible evaluation modes: online");
+  EXPECT_NE(modes, std::string::npos) << run.out;
+  EXPECT_NE(run.out.find("capture: compiled fast path"), std::string::npos)
+      << run.out;
+  EXPECT_NE(run.out.find("output tables:"), std::string::npos) << run.out;
+  EXPECT_NE(run.out.find("1 file checked: 0 errors"), std::string::npos)
+      << run.out;
+
+  // A code is still described, not linted.
+  DriverRun code = RunDriver({"--explain", "PQL3002"});
+  EXPECT_EQ(code.exit_code, 0);
+  EXPECT_EQ(code.out.rfind("PQL3002: ", 0), 0u) << code.out;
+
+  // A file with errors keeps the error exit code and gets no
+  // classification; an unreadable one is an IO error.
+  DriverRun broken =
+      RunDriver({"--explain", std::string(kFixtureDir) + "/broken.pql"});
+  EXPECT_EQ(broken.exit_code, 1);
+  EXPECT_EQ(broken.out.find("eligible evaluation modes"), std::string::npos);
+  EXPECT_EQ(RunDriver({"--explain", "/no/such/file.pql"}).exit_code, 2);
+  // The classification is text, so other formats are refused.
+  EXPECT_EQ(RunDriver({"--format", "json", "--explain",
+                       std::string(kExamplesDir) + "/capture_full.pql"})
+                .exit_code,
+            2);
+}
+
 TEST(DriverTest, JsonFormatCountsErrorsAndWarnings) {
   DriverRun run = RunDriver(
       {"--format", "json", std::string(kFixtureDir) + "/broken.pql"});
@@ -469,8 +500,7 @@ TEST(SarifTest, OutputIsWellFormedAndCarriesRequiredFields) {
 }
 
 // ---------------------------------------------------------------------------
-// Exit-code contract of pql_check's sibling entry points is covered above;
-// the diagnostic registry itself must stay description-complete.
+// The diagnostic registry must stay description-complete.
 
 TEST(DiagnosticRegistryTest, EveryCodeHasDescription) {
   for (const std::string& code : AllDiagCodes()) {

@@ -46,12 +46,6 @@ Layer MixedLayer(Superstep step, int n) {
   return layer;
 }
 
-std::string Dump(const Layer& layer) {
-  BinaryWriter w;
-  SerializeLayer(layer, w);
-  return w.MoveData();
-}
-
 TEST(VarintTest, RoundTripsEdgeValues) {
   for (uint64_t v : {uint64_t{0}, uint64_t{1}, uint64_t{127}, uint64_t{128},
                      uint64_t{1} << 35, ~uint64_t{0}}) {
@@ -97,8 +91,7 @@ TEST(PageCodecTest, LayerRoundTripsThroughPages) {
   for (const Page& page : pages) {
     ASSERT_TRUE(storage::DecodePage(page, &decoded).ok());
   }
-  EXPECT_EQ(Dump(decoded), Dump(layer));
-  EXPECT_EQ(decoded.byte_size, layer.byte_size);
+  EXPECT_EQ(decoded, layer);  // Value-level, byte_size included
 }
 
 TEST(PageCodecTest, EncodingIsDeterministicAndCompact) {
@@ -111,9 +104,31 @@ TEST(PageCodecTest, EncodingIsDeterministicAndCompact) {
     EXPECT_EQ(a[i].payload, b[i].payload);
     compressed += storage::kPageWireHeaderBytes + a[i].payload.size();
   }
-  // The columnar delta encoding must beat the row-major baseline by a
-  // wide margin on this int-heavy layer.
-  EXPECT_LT(compressed, Dump(layer).size() * 6 / 10);
+  // The columnar delta encoding must beat the logical (TupleByteSize)
+  // size by a wide margin on this int-heavy layer.
+  EXPECT_LT(compressed, layer.byte_size * 6 / 10);
+}
+
+TEST(PageCodecTest, LayerFrameRoundTrips) {
+  // Enough vertices for several default-size pages per relation.
+  const Layer layer = MixedLayer(7, 3000);
+  BinaryWriter writer;
+  storage::WriteLayerFrame(layer, writer);
+  storage::WriteLayerFrame(Layer{}, writer);  // empty layer: zero pages
+  BinaryReader reader(writer.MoveData());
+  auto decoded = storage::ReadLayerFrame(reader, "frame-test");
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(*decoded, layer);
+  auto empty = storage::ReadLayerFrame(reader, "frame-test");
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_EQ(*empty, Layer{});
+  EXPECT_TRUE(reader.AtEnd());
+  // A truncated frame fails with the caller's context and the offset.
+  auto truncated = storage::ReadLayerFrame(reader, "frame-test");
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_NE(truncated.status().message().find("frame-test"),
+            std::string::npos);
+  EXPECT_NE(truncated.status().message().find("offset"), std::string::npos);
 }
 
 TEST(PageCodecTest, SerializedPageRoundTripsAndDetectsCorruption) {
@@ -222,10 +237,10 @@ class LayerStoreTest : public testing::Test {
 TEST_F(LayerStoreTest, SpillsAndReadsBack) {
   LayerStore store;
   EXPECT_FALSE(store.spill_enabled());
-  std::vector<std::string> dumps;
+  std::vector<Layer> originals;
   for (Superstep s = 0; s < 5; ++s) {
     auto layer = std::make_shared<Layer>(MixedLayer(s, 30));
-    dumps.push_back(Dump(*layer));
+    originals.push_back(*layer);
     ASSERT_TRUE(store.Append(layer).ok());
   }
   EXPECT_EQ(store.num_layers(), 5);
@@ -243,7 +258,7 @@ TEST_F(LayerStoreTest, SpillsAndReadsBack) {
   for (int s = 4; s >= 0; --s) {
     auto layer = store.Read(s);
     ASSERT_TRUE(layer.ok()) << layer.status().ToString();
-    EXPECT_EQ(Dump(**layer), dumps[static_cast<size_t>(s)]);
+    EXPECT_EQ(**layer, originals[static_cast<size_t>(s)]);
   }
   const auto stats = store.stats();
   EXPECT_EQ(stats.layers_flushed, 5u);
@@ -280,7 +295,7 @@ TEST_F(LayerStoreTest, RelationFilteredReadTouchesOnlyMatchingPages) {
   for (const auto& slice : (*full)->slices) {
     if (slice.rel == 0) expected.Add(slice.rel, slice.vertex, slice.tuples);
   }
-  EXPECT_EQ(Dump(**only0), Dump(expected));
+  EXPECT_EQ(**only0, expected);
 }
 
 TEST_F(LayerStoreTest, PrefetchWarmsCache) {

@@ -8,6 +8,7 @@
 
 #include "provenance/store.h"
 #include "storage/layer.h"
+#include "storage/page.h"
 
 namespace ariadne {
 namespace {
@@ -24,6 +25,37 @@ Layer MakeLayer(Superstep step, int rel, int n_vertices) {
   }
   layer.Canonicalize();
   return layer;
+}
+
+/// Frames `body` as an APV3 image ([magic][flags 0][fnv1a(body)][body]).
+/// Resealing a damaged body gets it past the checksum, so the structural
+/// guards behind it (counts, frame bounds, trailing bytes) are exercised.
+std::string Seal(const std::string& body) {
+  BinaryWriter header;
+  header.WriteU32(0x41505633);  // "APV3"
+  header.WriteU32(0);
+  header.WriteU64(storage::Fnv1a(body));
+  return header.MoveData() + body;
+}
+
+/// Schema (one relation, value/3) plus an empty static layer frame: the
+/// body of an image up to its layer count.
+BinaryWriter BodyPrefix() {
+  BinaryWriter body;
+  body.WriteU64(1);
+  body.WriteString("value");
+  body.WriteU32(3);
+  storage::WriteLayerFrame(Layer{}, body);
+  return body;
+}
+
+/// The serialized pages of `layer` at the default page size.
+std::string PageBlob(const Layer& layer, uint64_t* n_pages) {
+  const auto pages = storage::EncodeLayer(layer, storage::kDefaultPageSize);
+  std::string blob;
+  for (const storage::Page& page : pages) storage::SerializePage(page, &blob);
+  *n_pages = pages.size();
+  return blob;
 }
 
 ProvenanceStore MakeStore() {
@@ -96,55 +128,112 @@ TEST_F(StoreCorruptionTest, EveryTruncationIsRejected) {
 }
 
 TEST_F(StoreCorruptionTest, TrailingGarbageIsRejected) {
-  // Appending bytes breaks the checksum; with a fixed-up checksum the
-  // structural trailing-bytes check must still fire (defense in depth,
-  // exercised directly on the legacy format below).
-  auto loaded = LoadBytes(image_ + std::string(8, '\x7f'));
-  EXPECT_FALSE(loaded.ok());
+  // Appending bytes breaks the checksum; with a resealed checksum the
+  // structural trailing-bytes check must still fire (defense in depth).
+  EXPECT_FALSE(LoadBytes(image_ + std::string(8, '\x7f')).ok());
+  auto resealed = LoadBytes(Seal(image_.substr(16) + std::string(8, '\x7f')));
+  ASSERT_FALSE(resealed.ok());
+  EXPECT_TRUE(resealed.status().IsParseError()) << resealed.status().ToString();
+  EXPECT_NE(resealed.status().message().find("trailing"), std::string::npos);
 }
 
-TEST_F(StoreCorruptionTest, LegacyImageTruncationsAreRejected) {
-  // The legacy APV1 format has no file checksum: its protection is the
-  // per-count bounds validation, so truncations must fail structurally.
-  BinaryWriter writer;
-  writer.WriteU32(0x41505631);  // "APV1"
-  writer.WriteU64(1);
-  writer.WriteString("value");
-  writer.WriteU32(3);
-  Layer empty_static;
-  SerializeLayer(empty_static, writer);
-  writer.WriteU64(2);
-  SerializeLayer(MakeLayer(0, 0, 25), writer);
-  SerializeLayer(MakeLayer(1, 0, 25), writer);
-  const std::string legacy = writer.MoveData();
+TEST_F(StoreCorruptionTest, ResealedTruncationsAreRejected) {
+  // Behind a recomputed checksum, every truncation of the body (schema,
+  // static layer frame, layer count, superstep frames) must still fail
+  // structurally instead of loading a shorter store.
+  const std::string body = image_.substr(16);
   {
-    auto ok = LoadBytes(legacy);
+    auto ok = LoadBytes(Seal(body));
     ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-    EXPECT_EQ(ok->num_layers(), 2);
+    EXPECT_EQ(ok->num_layers(), 4);
   }
-  const size_t stride = std::max<size_t>(1, legacy.size() / 53);
-  for (size_t cut = 4; cut < legacy.size(); cut += stride) {
-    auto loaded = LoadBytes(legacy.substr(0, cut));
-    EXPECT_FALSE(loaded.ok()) << "legacy truncation to " << cut
-                              << " bytes was not detected";
+  const size_t stride = std::max<size_t>(1, body.size() / 53);
+  for (size_t cut = 0; cut < body.size(); cut += stride) {
+    auto loaded = LoadBytes(Seal(body.substr(0, cut)));
+    EXPECT_FALSE(loaded.ok()) << "resealed truncation to " << cut
+                              << " body bytes was not detected";
   }
 }
 
-TEST_F(StoreCorruptionTest, LegacyCountCorruptionIsBounded) {
-  // Blow up the layer-count field of a legacy image: the loader must
-  // reject it via the bounds guard instead of attempting a huge reserve.
-  BinaryWriter writer;
-  writer.WriteU32(0x41505631);
-  writer.WriteU64(1);
-  writer.WriteString("value");
-  writer.WriteU32(3);
-  Layer empty_static;
-  SerializeLayer(empty_static, writer);
-  writer.WriteU64(uint64_t{1} << 60);  // absurd layer count
-  auto loaded = LoadBytes(writer.MoveData());
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_TRUE(loaded.status().IsParseError()) << loaded.status().ToString();
-  EXPECT_NE(loaded.status().message().find("exceeds"), std::string::npos);
+TEST_F(StoreCorruptionTest, CountCorruptionIsBounded) {
+  // An absurd layer count is rejected by the bounds guard instead of
+  // driving a huge loop or reserve.
+  {
+    BinaryWriter body = BodyPrefix();
+    body.WriteU64(uint64_t{1} << 60);
+    auto loaded = LoadBytes(Seal(body.MoveData()));
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_TRUE(loaded.status().IsParseError()) << loaded.status().ToString();
+    EXPECT_NE(loaded.status().message().find("layer count"),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
+  // A page count larger than its blob could hold names the layer.
+  uint64_t n_pages = 0;
+  const std::string blob = PageBlob(MakeLayer(0, 0, 25), &n_pages);
+  ASSERT_GT(n_pages, 0u);
+  {
+    BinaryWriter body = BodyPrefix();
+    body.WriteU64(1);
+    body.WriteI64(0);
+    body.WriteU64(uint64_t{1} << 40);
+    body.WriteString(blob);
+    auto loaded = LoadBytes(Seal(body.MoveData()));
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_TRUE(loaded.status().IsParseError()) << loaded.status().ToString();
+    EXPECT_NE(loaded.status().message().find("page count"), std::string::npos)
+        << loaded.status().ToString();
+    EXPECT_NE(loaded.status().message().find("(layer 0)"), std::string::npos)
+        << loaded.status().ToString();
+  }
+  // Bytes left over in a layer blob after its last page are rejected.
+  {
+    BinaryWriter body = BodyPrefix();
+    body.WriteU64(1);
+    body.WriteI64(0);
+    body.WriteU64(n_pages);
+    body.WriteString(blob + "xx");
+    auto loaded = LoadBytes(Seal(body.MoveData()));
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.status().message().find("trailing byte(s) in layer blob"),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
+  // The static layer goes through the same frame parser.
+  {
+    BinaryWriter body;
+    body.WriteU64(1);
+    body.WriteString("value");
+    body.WriteU32(3);
+    body.WriteI64(0);
+    body.WriteU64(uint64_t{1} << 40);
+    body.WriteString(blob);
+    body.WriteU64(0);
+    auto loaded = LoadBytes(Seal(body.MoveData()));
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.status().message().find("static layer"),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
+}
+
+TEST_F(StoreCorruptionTest, RetiredFormatVersionsAreRefused) {
+  // APV1 (row-major layers) and APV2 (row-major static layer) images are
+  // no longer read: the error names the version instead of misparsing.
+  for (const auto& [magic, name] :
+       {std::pair<uint32_t, std::string>{0x41505631, "APV1"},
+        std::pair<uint32_t, std::string>{0x41505632, "APV2"}}) {
+    BinaryWriter writer;
+    writer.WriteU32(magic);
+    writer.WriteU32(0);
+    writer.WriteU64(0);
+    writer.WriteU64(0);
+    auto loaded = LoadBytes(writer.MoveData());
+    ASSERT_FALSE(loaded.ok()) << name;
+    EXPECT_TRUE(loaded.status().IsParseError()) << loaded.status().ToString();
+    EXPECT_NE(loaded.status().message().find(name), std::string::npos)
+        << loaded.status().ToString();
+  }
 }
 
 }  // namespace

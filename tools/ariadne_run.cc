@@ -111,22 +111,6 @@ Result<CaptureDegradePolicy> ParseDegradePolicy(const std::string& name) {
                                  "' (fail|capture-off|forward-lineage)");
 }
 
-Value ParseParamValue(const std::string& text) {
-  try {
-    size_t pos = 0;
-    const int64_t i = std::stoll(text, &pos);
-    if (pos == text.size()) return Value(i);
-  } catch (...) {
-  }
-  try {
-    size_t pos = 0;
-    const double d = std::stod(text, &pos);
-    if (pos == text.size()) return Value(d);
-  } catch (...) {
-  }
-  return Value(text);
-}
-
 Result<std::string> QueryText(const Args& args) {
   if (args.query == "apt") return queries::Apt();
   if (args.query == "q4") return queries::PageRankInDegreeCheck();
@@ -222,7 +206,7 @@ std::string StorageStatsJson(const storage::StorageStats& st) {
   o.Set("layers_flushed", st.layers_flushed)
       .Set("pages_written", st.pages_written)
       .Set("compressed_bytes", st.compressed_bytes)
-      .Set("raw_serialized_bytes", st.raw_serialized_bytes)
+      .Set("logical_bytes", st.logical_bytes)
       .Set("compression_ratio", st.CompressionRatio())
       .Set("pages_read", st.pages_read)
       .Set("prefetch_requests", st.prefetch_requests)
@@ -448,12 +432,12 @@ int RunWith(const Args& args, const Graph& graph, P& program) {
       const storage::StorageStats st = store.storage_stats();
       std::printf(
           "storage: %llu layers flushed (%d spilled), %llu pages written, "
-          "%s compressed / %s raw (ratio %.2f), %.3fs flushing\n",
+          "%s compressed / %s logical (ratio %.2f), %.3fs flushing\n",
           static_cast<unsigned long long>(st.layers_flushed),
           store.SpilledLayerCount(),
           static_cast<unsigned long long>(st.pages_written),
           HumanBytes(st.compressed_bytes).c_str(),
-          HumanBytes(st.raw_serialized_bytes).c_str(), st.CompressionRatio(),
+          HumanBytes(st.logical_bytes).c_str(), st.CompressionRatio(),
           st.flush_seconds);
       std::printf(
           "storage: cache %llu hit / %llu miss (%.0f%% hit rate), "
@@ -592,7 +576,7 @@ int main(int argc, char** argv) {
       const auto eq = kv.find('=');
       if (eq == std::string::npos) return Usage();
       args.params.emplace_back(kv.substr(0, eq),
-                               ParseParamValue(kv.substr(eq + 1)));
+                               ParseValueLiteral(kv.substr(eq + 1)));
     } else if (flag == "--mode" && (v = next())) {
       args.mode = v;
     } else if (flag == "--store-out" && (v = next())) {

@@ -84,22 +84,6 @@ int Usage() {
   return 2;
 }
 
-Value ParseParamValue(const std::string& text) {
-  try {
-    size_t pos = 0;
-    const int64_t i = std::stoll(text, &pos);
-    if (pos == text.size()) return Value(i);
-  } catch (...) {
-  }
-  try {
-    size_t pos = 0;
-    const double d = std::stod(text, &pos);
-    if (pos == text.size()) return Value(d);
-  } catch (...) {
-  }
-  return Value(text);
-}
-
 Result<std::string> QueryText(const std::string& name) {
   if (name == "apt") return queries::Apt();
   if (name == "q4") return queries::PageRankInDegreeCheck();
@@ -354,7 +338,7 @@ int main(int argc, char** argv) {
         break;
       }
       request.params.emplace_back(kv.substr(0, eq),
-                                  ParseParamValue(kv.substr(eq + 1)));
+                                  ParseValueLiteral(kv.substr(eq + 1)));
     }
     if (bad_param) continue;
     auto text = QueryText(source);
