@@ -385,8 +385,14 @@ class VertexState {
       return Status::ParseError("vertex-state page " + std::to_string(p) +
                                 " checksum mismatch in " + spill_path_);
     }
-    std::memcpy(data, raw.data(), PageBytes());
-    return Status::OK();
+    if constexpr (std::is_trivially_copyable_v<V>) {
+      std::memcpy(data, raw.data(), PageBytes());
+      return Status::OK();
+    } else {
+      // Unreachable: ConfigurePaged refuses such value types.
+      return Status::Unsupported("paged vertex state needs a "
+                                 "trivially-copyable vertex value type");
+    }
   }
 
   /// Writes page `p` (dirty write-back), retrying transient errors (fault

@@ -1,10 +1,12 @@
 #ifndef ARIADNE_EVAL_ONLINE_H_
 #define ARIADNE_EVAL_ONLINE_H_
 
+#include <algorithm>
+#include <array>
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -173,10 +175,14 @@ class OnlineProgram final
   void RegisterAggregators(AggregatorRegistry& registry) override {
     analytic_->RegisterAggregators(registry);
     // Run start: reset wrapper state.
+    const size_t n = static_cast<size_t>(graph_->num_vertices());
     states_.clear();
-    states_.resize(static_cast<size_t>(graph_->num_vertices()));
-    last_active_.assign(static_cast<size_t>(graph_->num_vertices()), -1);
-    current_layer_ = Layer{};
+    states_.resize(n);
+    last_active_.assign(n, -1);
+    slots_.clear();
+    slots_.resize(options_.store != nullptr ? n : 0);
+    captured_.assign(slots_.size(), 0);
+    n_captured_.store(0, std::memory_order_relaxed);
     first_error_ = Status::OK();
     capture_degraded_ = false;
     capture_degraded_at_ = -1;
@@ -187,29 +193,23 @@ class OnlineProgram final
     if (options_.store != nullptr) ProjectStaticCapture();
   }
 
+  /// Runs serially after the merge phase, so it may read every capture
+  /// slot the workers filled during compute without a lock.
   void MasterCompute(MasterContext& master) override {
     analytic_->MasterCompute(master);
-    if (options_.store != nullptr) {
+    if (options_.store == nullptr) return;
+    Layer sealed = SealLayer(master.superstep);
+    if (capture_off_) return;  // degraded, policy = capture-off
+    Status s = options_.store->AppendLayer(std::move(sealed));
+    if (s.ok() && !capture_degraded_) {
+      // Append succeeds while the write-behind flusher still has
+      // allowance, so also poll the sticky flush error here: the
+      // barrier is where the degrade ladder can act on it.
+      s = options_.store->storage_flush_error();
+    }
+    if (!s.ok()) {
       std::lock_guard<std::mutex> lock(mu_);
-      Layer sealed = std::move(current_layer_);
-      sealed.step = master.superstep;
-      current_layer_ = Layer{};
-      // Slices arrive in worker-scheduling order under multi-threaded
-      // capture; canonicalize so the sealed layer (and everything
-      // serialized from it) is identical for any engine thread count. The
-      // slices themselves are already deterministic because the engine
-      // guarantees serial-order message delivery (DESIGN.md §2).
-      sealed.Canonicalize();
-      if (capture_off_) return;  // degraded, policy = capture-off
-      if (forward_lineage_only_) StripToSkeletonLocked(&sealed);
-      Status s = options_.store->AppendLayer(std::move(sealed));
-      if (s.ok() && !capture_degraded_) {
-        // Append succeeds while the write-behind flusher still has
-        // allowance, so also poll the sticky flush error here: the
-        // barrier is where the degrade ladder can act on it.
-        s = options_.store->storage_flush_error();
-      }
-      if (!s.ok()) HandleAppendFailureLocked(master.superstep, s);
+      HandleAppendFailureLocked(master.superstep, s);
     }
   }
 
@@ -339,14 +339,13 @@ class OnlineProgram final
       BinaryWriter segment;
       segment.WriteU64(static_cast<uint64_t>(n_layers - checkpointed_layers_));
       for (int step = checkpointed_layers_; step < n_layers; ++step) {
-        auto layer = options_.store->GetLayer(step);
-        if (!layer.ok()) {
-          return layer.status().WithContext("checkpointing layer " +
-                                            std::to_string(step));
-        }
         // Same layer frame as the store image, so resumed stores
         // re-serialize byte-identically.
-        storage::WriteLayerFrame(**layer, segment);
+        Status framed = options_.store->AppendLayerFrame(step, segment);
+        if (!framed.ok()) {
+          return framed.WithContext("checkpointing layer " +
+                                    std::to_string(step));
+        }
       }
       ARIADNE_ASSIGN_OR_RETURN(
           segments_valid_bytes_,
@@ -611,7 +610,7 @@ class OnlineProgram final
   }
 
   /// Appends newly derived output tuples (and the superstep/evolution
-  /// skeleton) of vertex `v` to the current layer. Only tuples located at
+  /// skeleton) of vertex `v` to its capture slot. Only tuples located at
   /// `v` are persisted: tuples that arrived via ships belong to their own
   /// vertex's layer slices (persisting copies would multiply the store by
   /// the average degree).
@@ -619,7 +618,7 @@ class OnlineProgram final
                             Superstep step) {
     const auto& outputs = query_->output_preds();
     const Value self_loc(static_cast<int64_t>(v));
-    std::vector<std::pair<int, std::vector<Tuple>>> deltas;
+    bool captured = false;
     for (size_t k = 0; k < outputs.size(); ++k) {
       const Relation* rel = st.db->RelIfExists(outputs[k]);
       const size_t size = rel == nullptr ? 0 : rel->size();
@@ -634,32 +633,59 @@ class OnlineProgram final
           }
         }
         watermark = size;
-        if (!local.empty()) {
-          deltas.emplace_back(static_cast<int>(k), std::move(local));
+        captured |= AddCaptureRun(v, capture_rels_[k], std::move(local));
+      }
+    }
+    if (captured) AppendSkeleton(v, prev, step);
+  }
+
+  /// Adds one run of tuples to `v`'s capture slot. Called by the worker
+  /// computing `v`: each vertex is computed by exactly one worker per
+  /// superstep, so the slot needs no lock, and the only shared write is
+  /// the claim of a position in `captured_`. Returns false for an empty
+  /// run.
+  bool AddCaptureRun(VertexId v, int rel, std::vector<Tuple> tuples) {
+    if (tuples.empty()) return false;
+    std::vector<CaptureRun>& slot = slots_[static_cast<size_t>(v)];
+    if (slot.empty()) {
+      captured_[n_captured_.fetch_add(1, std::memory_order_relaxed)] = v;
+    }
+    size_t bytes = 0;
+    for (const Tuple& t : tuples) bytes += TupleByteSize(t);
+    slot.push_back(CaptureRun{rel, std::move(tuples), bytes});
+    return true;
+  }
+
+  /// Drains the capture slots into the layer of superstep `step`, walking
+  /// relation ids, then vertex ids, in ascending order: the (rel, vertex)
+  /// order that makes the layer, and every byte encoded from it,
+  /// identical for any engine thread count. Runs of one vertex and
+  /// relation keep their capture order. The cost grows with the vertices
+  /// that captured (a sort of their ids, then one pass per relation), not
+  /// with V, so idle vertices of a sparse analytic cost nothing. In the
+  /// kForwardLineage degraded mode only the skeleton relations are kept.
+  Layer SealLayer(Superstep step) {
+    const size_t n = n_captured_.exchange(0, std::memory_order_relaxed);
+    const auto vertices = std::span(captured_).first(n);
+    std::sort(vertices.begin(), vertices.end());
+    Layer layer;
+    layer.step = step;
+    const int n_rels = static_cast<int>(options_.store->schema().size());
+    for (int rel = 0; rel < n_rels && !capture_off_; ++rel) {
+      if (forward_lineage_only_ && rel != skeleton_superstep_rel_ &&
+          rel != skeleton_evolution_rel_) {
+        continue;
+      }
+      for (VertexId v : vertices) {
+        for (CaptureRun& run : slots_[static_cast<size_t>(v)]) {
+          if (run.rel != rel) continue;
+          layer.slices.push_back(LayerSlice{rel, v, std::move(run.tuples)});
+          layer.byte_size += run.bytes;
         }
       }
     }
-    if (deltas.empty()) return;
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [k, tuples] : deltas) {
-      current_layer_.Add(capture_rels_[static_cast<size_t>(k)], v,
-                         std::move(tuples));
-    }
-    AppendSkeletonLocked(v, prev, step);
-  }
-
-  /// Reduces a sealed layer to the forward-lineage skeleton (superstep +
-  /// evolution relations) for the kForwardLineage degraded mode.
-  void StripToSkeletonLocked(Layer* sealed) {
-    Layer skeleton;
-    skeleton.step = sealed->step;
-    for (auto& slice : sealed->slices) {
-      if (slice.rel == skeleton_superstep_rel_ ||
-          slice.rel == skeleton_evolution_rel_) {
-        skeleton.Add(slice.rel, slice.vertex, std::move(slice.tuples));
-      }
-    }
-    *sealed = std::move(skeleton);
+    for (VertexId v : vertices) slots_[static_cast<size_t>(v)].clear();
+    return layer;
   }
 
   /// The degradation ladder (DESIGN.md §2.4). The failed layer itself is
@@ -689,73 +715,66 @@ class OnlineProgram final
         << "): " << s.message();
   }
 
-  void AppendSkeletonLocked(VertexId v, Superstep prev, Superstep step) {
+  void AppendSkeleton(VertexId v, Superstep prev, Superstep step) {
     const Value loc(static_cast<int64_t>(v));
-    current_layer_.Add(skeleton_superstep_rel_, v,
-                       {{loc, Value(static_cast<int64_t>(step))}});
+    AddCaptureRun(v, skeleton_superstep_rel_,
+                  {{loc, Value(static_cast<int64_t>(step))}});
     if (prev >= 0) {
-      current_layer_.Add(skeleton_evolution_rel_, v,
-                         {{loc, Value(static_cast<int64_t>(prev)),
-                           Value(static_cast<int64_t>(step))}});
+      AddCaptureRun(v, skeleton_evolution_rel_,
+                    {{loc, Value(static_cast<int64_t>(prev)),
+                      Value(static_cast<int64_t>(step))}});
     }
   }
 
   /// Fast path for projection-only capture queries: no per-vertex
-  /// database, records project straight into the layer.
+  /// database, records project straight into the vertex's capture slot.
   void FastCapture(VertexContext<V, WrappedMessage>& ctx, Adapter& adapter,
                    std::span<const WrappedMessage> messages) {
     const VertexId v = ctx.id();
     const Superstep step = ctx.superstep();
-    const Value loc(static_cast<int64_t>(v));
     const Value step_v(static_cast<int64_t>(step));
     const auto& plan = *query_->fast_capture();
 
-    std::vector<std::pair<int, std::vector<Tuple>>> out;
-    // Provenance relations are sets: duplicate identical events (e.g. a
-    // WCC vertex messaging a reciprocal neighbor via both adjacency
-    // directions) must collapse, exactly as the interpreted path dedups.
-    std::unordered_set<Tuple, TupleHash> seen;
+    // The EDB record being projected: (loc, value[, step]) or
+    // (loc, other end, payload, step), refilled per record in place.
+    std::array<Value, 4> record{Value(static_cast<int64_t>(v)), Value(),
+                                Value(), step_v};
     auto project = [&](const FastCaptureProjection& projection,
-                       const Tuple& source, std::vector<Tuple>& sink) {
-      Tuple t;
+                       std::vector<Tuple>& sink) {
+      Tuple& t = sink.emplace_back();
       t.reserve(projection.columns.size());
       for (int col : projection.columns) {
-        t.push_back(col == -1 ? step_v : source[static_cast<size_t>(col)]);
+        t.push_back(col == -1 ? step_v : record[static_cast<size_t>(col)]);
       }
-      if (seen.insert(t).second) sink.push_back(std::move(t));
     };
 
+    bool captured = false;
     for (size_t pi = 0; pi < plan.projections.size(); ++pi) {
       const auto& projection = plan.projections[pi];
-      const int store_rel = FastCaptureRel(pi);
-      seen.clear();
       std::vector<Tuple> tuples;
       switch (projection.source) {
         case EdbKind::kVertexValueNow:
-          project(projection, {loc, ValueTraits<V>::ToValue(ctx.value())},
-                  tuples);
-          break;
         case EdbKind::kValue:
-          project(projection,
-                  {loc, ValueTraits<V>::ToValue(ctx.value()), step_v},
-                  tuples);
+          record[1] = ValueTraits<V>::ToValue(ctx.value());
+          record[2] = step_v;
+          project(projection, tuples);
           break;
         case EdbKind::kSendNow:
         case EdbKind::kSendMessage:
+          tuples.reserve(adapter.sends.size());
           for (const auto& [target, payload] : adapter.sends) {
-            project(projection,
-                    {loc, Value(static_cast<int64_t>(target)),
-                     ValueTraits<M>::ToValue(payload), step_v},
-                    tuples);
+            record[1] = Value(static_cast<int64_t>(target));
+            record[2] = ValueTraits<M>::ToValue(payload);
+            project(projection, tuples);
           }
           break;
         case EdbKind::kReceiveNow:
         case EdbKind::kReceiveMessage:
+          tuples.reserve(messages.size());
           for (const auto& m : messages) {
-            project(projection,
-                    {loc, Value(static_cast<int64_t>(m.src)),
-                     ValueTraits<M>::ToValue(m.payload), step_v},
-                    tuples);
+            record[1] = Value(static_cast<int64_t>(m.src));
+            record[2] = ValueTraits<M>::ToValue(m.payload);
+            project(projection, tuples);
           }
           break;
         case EdbKind::kEdge:
@@ -763,14 +782,13 @@ class OnlineProgram final
         default:
           break;
       }
-      if (!tuples.empty()) out.emplace_back(store_rel, std::move(tuples));
+      // Provenance relations are sets: duplicate identical events (e.g. a
+      // WCC vertex messaging a reciprocal neighbor via both adjacency
+      // directions) must collapse, exactly as the interpreted path dedups.
+      DedupKeepFirst(tuples);
+      captured |= AddCaptureRun(v, FastCaptureRel(pi), std::move(tuples));
     }
-    if (out.empty()) return;
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [rel, tuples] : out) {
-      current_layer_.Add(rel, v, std::move(tuples));
-    }
-    AppendSkeletonLocked(v, last_active_[static_cast<size_t>(v)], step);
+    if (captured) AppendSkeleton(v, last_active_[static_cast<size_t>(v)], step);
   }
 
   /// Store relation id for fast-capture projection `pi` (its head pred's
@@ -829,8 +847,24 @@ class OnlineProgram final
   int skeleton_superstep_rel_ = -1;
   int skeleton_evolution_rel_ = -1;
 
+  /// One run of a vertex's capture slot: the tuples one projection (or
+  /// one output relation of the generic path) captured this superstep.
+  struct CaptureRun {
+    int rel = 0;
+    std::vector<Tuple> tuples;
+    size_t bytes = 0;  ///< TupleByteSize sum, computed by the worker
+  };
+  /// Per-vertex capture slots of the current superstep (capture runs
+  /// only), filled lock-free by the computing worker, drained by
+  /// SealLayer. The vertices holding a non-empty slot are
+  /// captured_[0, n_captured_), in claim order.
+  std::vector<std::vector<CaptureRun>> slots_;
+  std::vector<VertexId> captured_;
+  std::atomic<size_t> n_captured_{0};
+
+  /// Guards first_error_ (set by workers on the generic path) and the
+  /// degrade ladder.
   std::mutex mu_;
-  Layer current_layer_;
   Status first_error_;
   bool capture_degraded_ = false;
   Superstep capture_degraded_at_ = -1;

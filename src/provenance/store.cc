@@ -130,17 +130,16 @@ Result<std::string> ProvenanceStore::SerializeToString() const {
   }
   // The static layer and every superstep layer share one frame format;
   // frames always hold default-size pages, so the image bytes do not
-  // depend on the spill configuration the store ran under.
+  // depend on the spill configuration the store ran under. Flushed
+  // default-size layers splice their spill pages instead of re-encoding.
   storage::WriteLayerFrame(static_layer_, body);
   const int n_layers = layers_->num_layers();
   body.WriteU64(static_cast<uint64_t>(n_layers));
   for (int step = 0; step < n_layers; ++step) {
-    auto layer = layers_->Read(step);
-    if (!layer.ok()) {
-      return layer.status().WithContext("saving layer " +
-                                        std::to_string(step));
+    Status framed = layers_->AppendLayerFrame(step, body);
+    if (!framed.ok()) {
+      return framed.WithContext("saving layer " + std::to_string(step));
     }
-    storage::WriteLayerFrame(**layer, body);
   }
   BinaryWriter out;
   out.WriteU32(kStoreMagic);

@@ -88,6 +88,13 @@ class ProvenanceStore {
   Result<std::shared_ptr<const Layer>> GetLayerRelations(
       int step, const std::vector<int>& rels) const;
 
+  /// Appends the layer frame of superstep `step` to `writer` — the bytes
+  /// the image holds for it (storage::LayerStore::AppendLayerFrame).
+  /// The checkpoint segments sidecar is written through this too.
+  Status AppendLayerFrame(int step, BinaryWriter& writer) const {
+    return layers_->AppendLayerFrame(step, writer);
+  }
+
   /// Asynchronous hint that `step` (restricted to `rels`) is about to be
   /// read. Layered evaluation issues these direction-aware. Best-effort.
   void PrefetchLayer(int step, const std::vector<int>& rels) const;

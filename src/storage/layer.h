@@ -37,10 +37,9 @@ struct Layer {
 
   void Add(int rel, VertexId vertex, std::vector<Tuple> tuples);
 
-  /// Sorts slices into (rel, vertex) order. Capture wrappers call this
-  /// before sealing a layer: multi-threaded capture appends slices in
-  /// scheduling order, and canonicalizing makes the stored provenance —
-  /// and its serialized bytes — identical for any engine thread count.
+  /// Stable-sorts slices into (rel, vertex) order: the canonical order
+  /// the capture seal (eval/online.h) produces directly, for layers
+  /// assembled in another order.
   void Canonicalize();
 
   /// Value-level equality of step, slices (in order) and byte size.

@@ -22,7 +22,7 @@ constexpr uint32_t kLayerFileMagic = 0x31464C41;
 /// Reads `bytes` bytes at `offset` of `path` without mapping the whole
 /// file — the read path touches only the pages a query needs.
 Result<std::string> ReadRegion(const std::string& path, uint64_t offset,
-                               uint32_t bytes) {
+                               uint64_t bytes) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     return Status::IOError("cannot open spill file " + path);
@@ -245,12 +245,80 @@ int LayerStore::num_layers() const {
 }
 
 Result<std::shared_ptr<const Layer>> LayerStore::Read(int step) const {
-  return ReadImpl(step, {});
+  return ReadImpl(step, {}, /*readmit=*/true);
 }
 
 Result<std::shared_ptr<const Layer>> LayerStore::ReadRelations(
     int step, const std::vector<int>& rels) const {
-  return ReadImpl(step, rels);
+  return ReadImpl(step, rels, /*readmit=*/true);
+}
+
+Status LayerStore::AppendLayerFrame(int step, BinaryWriter& writer) const {
+  const Entry* entry = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (step >= 0 && step < static_cast<int>(entries_.size())) {
+      entry = entries_[static_cast<size_t>(step)].get();
+      // `file` and `pages` are immutable once `flushed` is set.
+      if (!entry->flushed || options_.page_size != kDefaultPageSize) {
+        entry = nullptr;
+      }
+    }
+  }
+  if (entry != nullptr) return SplicePages(*entry, writer);
+  ARIADNE_ASSIGN_OR_RETURN(std::shared_ptr<const Layer> layer,
+                           ReadImpl(step, {}, /*readmit=*/false));
+  WriteLayerFrame(*layer, writer);
+  return Status::OK();
+}
+
+Status LayerStore::SplicePages(const Entry& entry,
+                               BinaryWriter& writer) const {
+  // A spill file is [header][page 0][page 1]...: the pages of one layer
+  // are one contiguous region, read in a single call.
+  const uint64_t begin = entry.pages.empty() ? 0 : entry.pages.front().offset;
+  const uint64_t bytes =
+      entry.pages.empty()
+          ? 0
+          : entry.pages.back().offset + entry.pages.back().bytes - begin;
+  Result<std::string> region = std::string();
+  if (bytes > 0) {
+    const RetryOutcome read = RetryTransient(
+        options_.IoRetryPolicy(), static_cast<uint64_t>(entry.step) << 20,
+        [&] {
+          Status injected = recovery::CheckFaultPoint("page-read");
+          region = injected.ok() ? ReadRegion(entry.file, begin, bytes)
+                                 : Result<std::string>(injected);
+          return region.ok() ? Status::OK() : region.status();
+        });
+    if (read.retries() > 0) {
+      std::lock_guard<std::mutex> lock(mu_);
+      stats_.read_retries += static_cast<uint64_t>(read.retries());
+    }
+    if (!region.ok()) return region.status();
+  }
+  size_t offset = 0;
+  for (size_t i = 0; i < entry.pages.size(); ++i) {
+    auto page = ParsePage(*region, &offset);
+    if (!page.ok()) {
+      return page.status().WithContext(
+          entry.file + " (page " + std::to_string(i) + " at file offset " +
+          std::to_string(entry.pages[i].offset) + ")");
+    }
+  }
+  if (offset != region->size()) {
+    return Status::ParseError(std::to_string(region->size() - offset) +
+                              " byte(s) after the last page of " +
+                              entry.file);
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stats_.pages_read += entry.pages.size();
+  }
+  writer.WriteI64(entry.step);
+  writer.WriteU64(entry.pages.size());
+  writer.WriteString(*region);
+  return Status::OK();
 }
 
 Result<std::shared_ptr<const Page>> LayerStore::FetchPage(
@@ -294,7 +362,7 @@ Result<std::shared_ptr<const Page>> LayerStore::FetchPage(
 }
 
 Result<std::shared_ptr<const Layer>> LayerStore::ReadImpl(
-    int step, const std::vector<int>& rels) const {
+    int step, const std::vector<int>& rels, bool readmit) const {
   std::unique_lock<std::mutex> lock(mu_);
   if (step < 0 || step >= static_cast<int>(entries_.size())) {
     return Status::OutOfRange("layer " + std::to_string(step) +
@@ -351,7 +419,7 @@ Result<std::shared_ptr<const Layer>> LayerStore::ReadImpl(
   }
   ARIADNE_RETURN_NOT_OK(status);
 
-  if (wanted.empty()) {
+  if (wanted.empty() && readmit) {
     // A full decode re-admits the layer as resident (LRU within budget),
     // so repeated layered passes do not re-decode every time.
     lock.lock();

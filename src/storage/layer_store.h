@@ -179,6 +179,16 @@ class LayerStore {
   Result<std::shared_ptr<const Layer>> ReadRelations(
       int step, const std::vector<int>& rels) const;
 
+  /// Appends the layer frame of `step` (storage::WriteLayerFrame's bytes)
+  /// to `writer`. A flushed layer whose spill pages are at
+  /// kDefaultPageSize already holds exactly the frame's pages, so its
+  /// page region is read from the spill file (retry ladder, fault point
+  /// "page-read"), every page is validated with ParsePage, and the bytes
+  /// are spliced in without a decode. Any other layer (resident-only, or
+  /// spilled at another page size) is encoded by WriteLayerFrame. Never
+  /// re-admits a decoded copy. Thread-safe like Read.
+  Status AppendLayerFrame(int step, BinaryWriter& writer) const;
+
   /// Asynchronous hint: load the pages of `step` restricted to `rels`
   /// into the page cache. Layered evaluation issues these
   /// direction-aware (step+1 ascending, step-1 descending). Best-effort;
@@ -237,8 +247,11 @@ class LayerStore {
   size_t DecodedBudget() const;
   Result<std::shared_ptr<const Page>> FetchPage(const Entry& entry,
                                                 uint32_t index) const;
-  Result<std::shared_ptr<const Layer>> ReadImpl(
-      int step, const std::vector<int>& rels) const;
+  /// `readmit`: a full decode re-admits the layer as resident.
+  Result<std::shared_ptr<const Layer>> ReadImpl(int step,
+                                                const std::vector<int>& rels,
+                                                bool readmit) const;
+  Status SplicePages(const Entry& entry, BinaryWriter& writer) const;
 
   mutable std::mutex mu_;
   std::condition_variable backpressure_cv_;

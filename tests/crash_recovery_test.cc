@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,9 @@ class CrashRecoveryTest : public testing::Test {
     auto query = session.PrepareOnline(queries::CaptureFull());
     ARIADNE_RETURN_NOT_OK(query.status());
     ProvenanceStore store;
+    if (spill_budget_.has_value()) {
+      ARIADNE_RETURN_NOT_OK(store.EnableSpill(dir_ + "/spill", *spill_budget_));
+    }
     CaptureOutput out;
     ARIADNE_ASSIGN_OR_RETURN(
         out.stats,
@@ -126,6 +130,9 @@ class CrashRecoveryTest : public testing::Test {
   /// cross-backend kill+resume case points it at a PagedBackend over the
   /// same topology).
   const Graph* run_graph_ = nullptr;
+  /// When set, RunCapture spills its store under this budget, so the
+  /// checkpoint segments and the image splice flushed spill pages.
+  std::optional<size_t> spill_budget_;
 };
 
 TEST_F(CrashRecoveryTest, PageRankKilledAtEverySuperstepSingleThread) {
@@ -144,6 +151,21 @@ TEST_F(CrashRecoveryTest, SsspKilledAtEverySuperstepFourThreads) {
   RunCrashMatrix([] { return SsspProgram(0); }, 4);
 }
 
+TEST_F(CrashRecoveryTest, SpillingCaptureKilledAtEverySuperstepFourThreads) {
+  // Budget 0 evicts every flushed layer: checkpoint segments and the
+  // final image are spliced from spill pages (layers whose flush is
+  // still pending are encoded), and must match an in-memory capture.
+  PageRankProgram in_memory_program({.iterations = 9});
+  auto in_memory = RunCapture(in_memory_program, 4, 0, false);
+  ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+  spill_budget_ = 0;
+  PageRankProgram spilled_program({.iterations = 9});
+  auto spilled = RunCapture(spilled_program, 4, 0, false);
+  ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
+  EXPECT_EQ(spilled->store_image, in_memory->store_image);
+  RunCrashMatrix([] { return PageRankProgram({.iterations = 9}); }, 4);
+}
+
 TEST_F(CrashRecoveryTest, ResumeAcrossThreadCountsIsByteIdentical) {
   // Checkpoint written by a 1-thread run, resumed by a 4-thread run (and
   // vice versa): chunk boundaries depend only on active-set size, so the
@@ -152,7 +174,7 @@ TEST_F(CrashRecoveryTest, ResumeAcrossThreadCountsIsByteIdentical) {
   auto reference = RunCapture(reference_program, 1, 0, false);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
-  for (const auto [crash_threads, resume_threads] :
+  for (const auto& [crash_threads, resume_threads] :
        {std::pair<size_t, size_t>{1, 4}, std::pair<size_t, size_t>{4, 1}}) {
     SCOPED_TRACE("crash_threads=" + std::to_string(crash_threads) +
                  " resume_threads=" + std::to_string(resume_threads));

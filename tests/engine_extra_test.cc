@@ -119,7 +119,9 @@ class ThreadSweepTest : public testing::TestWithParam<size_t> {};
 TEST_P(ThreadSweepTest, SsspIdenticalAcrossThreadCounts) {
   auto g = GenerateRmat({.scale = 8, .avg_degree = 6, .seed = 77});
   ASSERT_TRUE(g.ok());
-  Engine<double, double> reference_engine(&*g, EngineOptions{.num_threads = 1});
+  EngineOptions one_thread;
+  one_thread.num_threads = 1;
+  Engine<double, double> reference_engine(&*g, one_thread);
   SsspProgram reference(0);
   ASSERT_TRUE(reference_engine.Run(reference).ok());
 

@@ -235,6 +235,104 @@ TEST(CaptureDeterminismTest, FullCaptureBytesIdenticalAcrossThreadCounts) {
   }
 }
 
+// ------------------------------------- capture dedup on a multigraph hub
+
+/// Hub vertex 0 reaches vertex 1 over 80 parallel edges and every other
+/// vertex over 1..12 of them; a ring closes the rest. PageRank and SSSP
+/// then send (and, with no combiner, receive) over 64 identical messages
+/// per superstep on the hub's 80-fold edge, and a handful on the others.
+Graph HubMultigraph() {
+  constexpr VertexId kVertices = 24;
+  std::vector<Edge> edges;
+  for (int k = 0; k < 80; ++k) edges.push_back({0, 1, 1.0});
+  for (VertexId v = 2; v < kVertices; ++v) {
+    for (VertexId k = 0; k <= v % 12; ++k) edges.push_back({0, v, 1.0});
+  }
+  for (VertexId v = 1; v < kVertices; ++v) {
+    edges.push_back({v, (v + 1) % kVertices, 1.0});
+  }
+  auto g = Graph::FromEdges(kVertices, std::move(edges));
+  ARIADNE_CHECK(g.ok());
+  return std::move(*g);
+}
+
+struct CapturedLayers {
+  std::vector<Layer> layers;
+  int send_rel = -1;
+  int receive_rel = -1;
+};
+
+template <typename P>
+CapturedLayers CaptureLayers(const Graph& g, P program, size_t threads,
+                             bool fast_capture) {
+  SessionOptions session_options;
+  session_options.engine.num_threads = threads;
+  session_options.engine.chunk_size = 4;
+  Session session(&g, session_options);
+  auto query = session.PrepareOnline(queries::CaptureFull());
+  ARIADNE_CHECK(query.ok());
+  ProvenanceStore store;
+  ARIADNE_CHECK(session
+                    .Capture(program, *query, &store, /*retention_window=*/0,
+                             nullptr, fast_capture)
+                    .ok());
+  CapturedLayers out;
+  for (int step = 0; step < store.num_layers(); ++step) {
+    auto layer = store.GetLayerRelations(step, {});
+    ARIADNE_CHECK(layer.ok());
+    out.layers.push_back(**layer);
+  }
+  out.send_rel = store.RelId("send-message");
+  out.receive_rel = store.RelId("receive-message");
+  return out;
+}
+
+const LayerSlice* FindSlice(const Layer& layer, int rel, VertexId vertex) {
+  for (const LayerSlice& slice : layer.slices) {
+    if (slice.rel == rel && slice.vertex == vertex) return &slice;
+  }
+  return nullptr;
+}
+
+TEST(CaptureDedupTest, FastCaptureMatchesInterpretedOnMultigraphHub) {
+  const Graph g = HubMultigraph();
+  auto check = [&](auto make_program, const char* name) {
+    const CapturedLayers interpreted =
+        CaptureLayers(g, make_program(), 1, /*fast_capture=*/false);
+    ASSERT_GE(interpreted.layers.size(), 2u) << name;
+    // The hub's 80-fold send collapses to one tuple per distinct target.
+    const LayerSlice* hub_sends =
+        FindSlice(interpreted.layers[0], interpreted.send_rel, 0);
+    ASSERT_NE(hub_sends, nullptr) << name;
+    EXPECT_EQ(hub_sends->tuples.size(), 23u) << name;
+    for (size_t threads : {size_t{1}, size_t{3}, size_t{4}}) {
+      SCOPED_TRACE(std::string(name) + " threads=" + std::to_string(threads));
+      const CapturedLayers fast =
+          CaptureLayers(g, make_program(), threads, /*fast_capture=*/true);
+      // Layer equality covers the tuple set, tuple order within each
+      // slice, slice order and byte size.
+      ASSERT_EQ(fast.layers.size(), interpreted.layers.size());
+      for (size_t step = 0; step < fast.layers.size(); ++step) {
+        EXPECT_EQ(fast.layers[step], interpreted.layers[step])
+            << "layer " << step;
+        // The seal emits the canonical (rel, vertex) order directly.
+        Layer canonical = fast.layers[step];
+        canonical.Canonicalize();
+        EXPECT_EQ(canonical, fast.layers[step]) << "layer " << step;
+      }
+    }
+  };
+  check([] { return PageRankProgram({.iterations = 4}); }, "pagerank");
+  check([] { return SsspProgram(0); }, "sssp");
+
+  // SSSP with no combiner: vertex 1 receives the hub's 80 identical
+  // messages in superstep 1 and keeps one receive tuple.
+  const CapturedLayers sssp = CaptureLayers(g, SsspProgram(0), 4, true);
+  const LayerSlice* received = FindSlice(sssp.layers[1], sssp.receive_rel, 1);
+  ASSERT_NE(received, nullptr);
+  EXPECT_EQ(received->tuples.size(), 1u);
+}
+
 // ----------------------------------------------------- per-phase timings
 
 TEST(PhaseStatsTest, ShardedRunsRecordPhaseTimings) {

@@ -90,7 +90,7 @@ TEST_F(ChainSsspFixture, BackwardLineageFullVsCustom) {
   // Naive agrees with layered.
   auto full_naive = session.RunOffline(&full, *q10, EvalMode::kNaive);
   ASSERT_TRUE(full_naive.ok());
-  for (const std::string& table : {"back-trace", "back-lineage"}) {
+  for (const char* table : {"back-trace", "back-lineage"}) {
     EXPECT_EQ(TableStrings(full_layered->result, table),
               TableStrings(full_naive->result, table));
   }
@@ -145,7 +145,7 @@ TEST_F(ChainSsspFixture, AptOnlineMatchesOfflineModes) {
   ASSERT_TRUE(layered.ok()) << layered.status().ToString();
   auto naive = session.RunOffline(&store, *apt_offline, EvalMode::kNaive);
   ASSERT_TRUE(naive.ok()) << naive.status().ToString();
-  for (const std::string& table :
+  for (const char* table :
        {"change", "neighbor-change", "no-execute", "safe", "unsafe"}) {
     EXPECT_EQ(TableStrings(online->query_result, table),
               TableStrings(layered->result, table))
@@ -167,7 +167,7 @@ TEST_F(ChainSsspFixture, RetentionWindowPreservesResults) {
   SsspProgram sssp2(0);
   auto windowed = session.RunOnline(sssp2, *apt, /*retention_window=*/2);
   ASSERT_TRUE(windowed.ok());
-  for (const std::string& table : {"no-execute", "safe", "unsafe"}) {
+  for (const char* table : {"no-execute", "safe", "unsafe"}) {
     EXPECT_EQ(TableStrings(unlimited->query_result, table),
               TableStrings(windowed->query_result, table))
         << table;
@@ -293,7 +293,7 @@ TEST(IntegrationPageRank, AptOnlineEqualsOfflineOnRandomGraph) {
   auto naive = session.RunOffline(&store, *apt_offline, EvalMode::kNaive);
   ASSERT_TRUE(naive.ok());
 
-  for (const std::string& table :
+  for (const char* table :
        {"change", "neighbor-change", "no-execute", "safe", "unsafe"}) {
     EXPECT_EQ(TableStrings(online->query_result, table),
               TableStrings(layered->result, table))

@@ -143,7 +143,7 @@ TEST_P(ModeEquivalenceTest, AptAgreesAcrossOnlineLayeredNaive) {
   auto naive = session.RunOffline(&store, *apt_offline, EvalMode::kNaive);
   ASSERT_TRUE(naive.ok()) << naive.status().ToString();
 
-  for (const std::string& table :
+  for (const char* table :
        {"change", "neighbor-change", "no-execute", "safe", "unsafe"}) {
     EXPECT_EQ(TableStrings(online, table),
               TableStrings(layered->result, table))
@@ -327,7 +327,7 @@ TEST_P(RetentionTest, WindowedAptMatchesUnlimited) {
   PageRankProgram windowed_program({.iterations = 6});
   auto windowed = session.RunOnline(windowed_program, *apt, window);
   ASSERT_TRUE(windowed.ok());
-  for (const std::string& table : {"no-execute", "safe", "unsafe"}) {
+  for (const char* table : {"no-execute", "safe", "unsafe"}) {
     EXPECT_EQ(TableStrings(unlimited->query_result, table),
               TableStrings(windowed->query_result, table))
         << table << " window=" << window;

@@ -13,8 +13,8 @@
 //   ariadne_run --analytic pagerank --query apt --param eps=0.01
 //
 //   # capture full provenance of SSSP over an edge-list file
-//   ariadne_run --analytic sssp --graph web.el --query capture-full \
-//               --mode capture --store-out web.prov
+//   ariadne_run --analytic sssp --graph web.el --query capture-full
+//               --mode capture --store-out web.prov    (one command)
 
 #include <cstdio>
 #include <cstring>
