@@ -32,12 +32,14 @@ size_t UnfoldedBytes(ProvenanceStore& store) {
     const Layer* layer = *store.GetLayer(s);
     for (const auto& slice : layer->slices) {
       if (slice.rel == superstep_rel) {
-        nodes += slice.tuples.size();
+        nodes += slice.size();
       } else if (slice.rel == evolution_rel) {
-        edges += slice.tuples.size();
+        edges += slice.size();
       } else if (slice.rel == send_rel || slice.rel == receive_rel) {
-        edges += slice.tuples.size();
-        for (const Tuple& t : slice.tuples) payload += t[2].ByteSize();
+        edges += slice.size();
+        for (size_t i = 0; i < slice.size(); ++i) {
+          payload += slice.ValueOf(slice.row(i)[2]).ByteSize();
+        }
       }
     }
   }

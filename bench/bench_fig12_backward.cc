@@ -22,7 +22,7 @@ Result<std::pair<VertexId, Superstep>> TraceSeed(ProvenanceStore& store) {
     ARIADNE_ASSIGN_OR_RETURN(const Layer* layer, store.GetLayer(step));
     const int superstep_rel = store.RelId("superstep");
     for (const auto& slice : layer->slices) {
-      if (slice.rel == superstep_rel && !slice.tuples.empty()) {
+      if (slice.rel == superstep_rel && !slice.empty()) {
         return std::make_pair(slice.vertex, layer->step);
       }
     }

@@ -40,30 +40,49 @@ Status CheckDegradedCapture(const AnalyzedQuery& query,
   return Status::OK();
 }
 
-void DedupKeepFirst(std::vector<Tuple>& tuples) {
-  // Slots hold positions of kept tuples (all < kept <= i, so a move into
-  // position `kept` never disturbs a tuple the table points at).
+void DedupKeepFirst(LayerSlice& run) {
+  const size_t n = run.size();
+  if (n < 2) return;
+  // Slots hold positions of kept rows (all < kept <= i, so a move into
+  // position `kept` never disturbs a row the table points at).
   constexpr uint32_t kEmpty = ~uint32_t{0};
-  const size_t n = tuples.size();
   size_t capacity = 1;
   while (capacity < 2 * n) capacity <<= 1;
-  std::vector<uint32_t> table(capacity, kEmpty);
-  const TupleHash hash;
+  thread_local std::vector<uint32_t> table;
+  table.assign(capacity, kEmpty);
   size_t kept = 0;
   for (size_t i = 0; i < n; ++i) {
-    size_t slot = hash(tuples[i]) & (capacity - 1);
+    size_t slot = run.RowHash(i) & (capacity - 1);
     bool duplicate = false;
     for (; table[slot] != kEmpty; slot = (slot + 1) & (capacity - 1)) {
-      if (tuples[table[slot]] == tuples[i]) {
+      if (run.RowsEqual(table[slot], i)) {
         duplicate = true;
         break;
       }
     }
     if (duplicate) continue;
-    if (kept != i) tuples[kept] = std::move(tuples[i]);
+    if (kept != i) {
+      std::copy_n(run.row(i), run.arity, run.mutable_row(kept));
+    }
     table[slot] = static_cast<uint32_t>(kept++);
   }
-  tuples.resize(kept);
+  // Side entries of dropped rows stay: cells reference them by index.
+  run.rows = static_cast<uint32_t>(kept);
+  run.cells.resize(kept * run.arity);
+}
+
+void AppendMessagePeers(const LayerSlice& slice, std::vector<VertexId>& out) {
+  if (slice.arity < 2) return;
+  for (size_t i = 0; i < slice.size(); ++i) {
+    const Cell& peer = slice.row(i)[1];
+    if (peer.tag == Value::Kind::kInt) out.push_back(peer.i);
+  }
+}
+
+void InsertSliceRows(const LayerSlice& slice, Relation& rel) {
+  for (size_t i = 0; i < slice.size(); ++i) {
+    rel.InsertCells({slice.row(i), slice.arity}, slice.side);
+  }
 }
 
 void DeliverShips(Database& db, const ShipBundle& bundle) {

@@ -8,6 +8,7 @@
 #include "pql/analysis.h"
 #include "pql/evaluator.h"
 #include "pql/relation.h"
+#include "storage/layer.h"
 
 namespace ariadne {
 
@@ -58,11 +59,20 @@ ShipBundlePtr CollectShipDeltaForRouting(const AnalyzedQuery& query,
                                          NodeQueryState& state, VertexId self,
                                          ShipRouting routing);
 
-/// Removes repeated tuples from `tuples`, keeping each tuple's first
-/// occurrence in its original position order (set semantics for one
-/// capture run). Positions of kept tuples are hashed into an
-/// open-addressing table, so no tuple is ever copied.
-void DedupKeepFirst(std::vector<Tuple>& tuples);
+/// Removes repeated rows from the cell run `run`, keeping each row's
+/// first occurrence in its original position order (set semantics for
+/// one capture run, under Value equality: Int(1) != Double(1.0),
+/// 0.0 == -0.0, NaN != NaN, payloads by content). Positions of kept rows
+/// are hashed into an open-addressing table; kept rows move down in
+/// place.
+void DedupKeepFirst(LayerSlice& run);
+
+/// Appends column 1 of each row of a send-message / receive-message
+/// slice (the message's other end, when it is an int) to `out`.
+void AppendMessagePeers(const LayerSlice& slice, std::vector<VertexId>& out);
+
+/// Inserts every row of `slice` into `rel` straight from its cells.
+void InsertSliceRows(const LayerSlice& slice, Relation& rel);
 
 /// Drops EDB history older than `window` supersteps from `db` (relations
 /// whose EDB kind has a superstep column). Keeps IDB results intact.

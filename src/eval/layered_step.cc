@@ -15,6 +15,7 @@ void SortUnique(std::vector<VertexId>& ids) {
 
 }  // namespace
 
+
 // ---- LayerView ----
 
 bool LayerView::HasRel(int rel) const {
@@ -40,15 +41,9 @@ std::shared_ptr<const LayerView> BuildLayerView(
     view->by_vertex[slice.vertex].push_back(&slice);
     // The layer's recorded message edges, for ship routing.
     if (slice.rel == send_rel) {
-      auto& targets = view->route_out[slice.vertex];
-      for (const Tuple& t : slice.tuples) {
-        if (t.size() > 1 && t[1].is_int()) targets.push_back(t[1].AsInt());
-      }
+      AppendMessagePeers(slice, view->route_out[slice.vertex]);
     } else if (slice.rel == receive_rel) {
-      auto& sources = view->route_in[slice.vertex];
-      for (const Tuple& t : slice.tuples) {
-        if (t.size() > 1 && t[1].is_int()) sources.push_back(t[1].AsInt());
-      }
+      AppendMessagePeers(slice, view->route_in[slice.vertex]);
     }
   }
   for (auto* index : {&view->route_out, &view->route_in}) {
@@ -193,8 +188,7 @@ int LayeredQueryRun::LayerStepAfterNext() const {
 void LayeredQueryRun::InsertSlice(Database& db, const LayerSlice& slice) {
   const int pred = rel_to_pred_[static_cast<size_t>(slice.rel)];
   if (pred < 0) return;  // relation not referenced by this query
-  Relation& rel = db.Rel(pred);
-  for (const Tuple& t : slice.tuples) rel.Insert(t);
+  InsertSliceRows(slice, db.Rel(pred));
 }
 
 std::span<const VertexId> LayeredQueryRun::RoutingTargets(

@@ -51,21 +51,14 @@ class NaiveProgram final : public VertexProgram<char, NaiveShipMessage> {
         // Routing indexes follow the recorded message edges even when the
         // query itself does not read send/receive-message.
         if (slice.rel == send_rel_) {
-          auto& targets = route_out_[slice.vertex];
-          for (const Tuple& t : slice.tuples) {
-            if (t.size() > 1 && t[1].is_int()) targets.push_back(t[1].AsInt());
-          }
+          AppendMessagePeers(slice, route_out_[slice.vertex]);
         } else if (slice.rel == receive_rel_) {
-          auto& sources = route_in_[slice.vertex];
-          for (const Tuple& t : slice.tuples) {
-            if (t.size() > 1 && t[1].is_int()) sources.push_back(t[1].AsInt());
-          }
+          AppendMessagePeers(slice, route_in_[slice.vertex]);
         }
         const int pred = rel_to_pred_[static_cast<size_t>(slice.rel)];
         if (pred < 0) continue;
         NodeQueryState& st = states_[static_cast<size_t>(slice.vertex)];
-        Relation& rel = st.EnsureDb(*query_).Rel(pred);
-        for (const Tuple& t : slice.tuples) rel.Insert(t);
+        InsertSliceRows(slice, st.EnsureDb(*query_).Rel(pred));
       }
     };
     load(store_->static_data());

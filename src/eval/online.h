@@ -431,6 +431,7 @@ class OnlineProgram final
                                    std::move(degraded_reason));
     }
     const std::string segments_path = recovery::SegmentsPath(io.dir);
+    const std::vector<int> arities = options_.store->arities();
     ARIADNE_ASSIGN_OR_RETURN(
         std::vector<std::string> segments,
         recovery::ReadSegmentsFile(segments_path, valid_bytes));
@@ -448,8 +449,10 @@ class OnlineProgram final
       for (uint64_t i = 0; i < n_seg_layers; ++i) {
         ARIADNE_ASSIGN_OR_RETURN(
             Layer layer,
-            storage::ReadLayerFrame(sr, segments_path + " (segment " +
-                                            std::to_string(seg) + ")"));
+            storage::ReadLayerFrame(sr,
+                                    segments_path + " (segment " +
+                                        std::to_string(seg) + ")",
+                                    arities));
         if (layer.step != appended) {
           return Status::ParseError(
               "segment " + std::to_string(seg) + " of " + segments_path +
@@ -624,35 +627,47 @@ class OnlineProgram final
       const size_t size = rel == nullptr ? 0 : rel->size();
       size_t& watermark = st.capture_watermarks[k];
       if (size > watermark) {
-        std::vector<Tuple> local;
-        local.reserve(size - watermark);
+        LayerSlice run =
+            NewRun(v, capture_rels_[k], query_->pred(outputs[k]).arity);
         for (size_t i = watermark; i < size; ++i) {
           const Relation::RowView row = rel->row_view(i);
-          if (row.size() > 0 && row.Equals(0, self_loc)) {
-            local.push_back(row.ToTuple());
-          }
+          if (row.size() > 0 && row.Equals(0, self_loc)) CopyRow(row, run);
         }
         watermark = size;
-        captured |= AddCaptureRun(v, capture_rels_[k], std::move(local));
+        captured |= AddCaptureRun(v, std::move(run));
       }
     }
     if (captured) AppendSkeleton(v, prev, step);
   }
 
-  /// Adds one run of tuples to `v`'s capture slot. Called by the worker
-  /// computing `v`: each vertex is computed by exactly one worker per
-  /// superstep, so the slot needs no lock, and the only shared write is
-  /// the claim of a position in `captured_`. Returns false for an empty
-  /// run.
-  bool AddCaptureRun(VertexId v, int rel, std::vector<Tuple> tuples) {
-    if (tuples.empty()) return false;
+  static LayerSlice NewRun(VertexId v, int rel, size_t arity) {
+    LayerSlice run;
+    run.rel = rel;
+    run.vertex = v;
+    run.arity = static_cast<uint32_t>(arity);
+    return run;
+  }
+
+  /// Appends a relation row to `run`, copying string and double-vector
+  /// payloads out of the relation's pools into the run's side store.
+  static void CopyRow(const Relation::RowView& row, LayerSlice& run) {
+    Cell* out = run.AddRow();
+    for (size_t c = 0; c < run.arity; ++c) out[c] = run.Encode(row.value(c));
+  }
+
+  /// Adds one run of `v`'s tuples to its capture slot. Called by the
+  /// worker computing `v`: each vertex is computed by exactly one worker
+  /// per superstep, so the slot needs no lock, and the only shared write
+  /// is the claim of a position in `captured_`. Returns false for an
+  /// empty run.
+  bool AddCaptureRun(VertexId v, LayerSlice run) {
+    if (run.empty()) return false;
     std::vector<CaptureRun>& slot = slots_[static_cast<size_t>(v)];
     if (slot.empty()) {
       captured_[n_captured_.fetch_add(1, std::memory_order_relaxed)] = v;
     }
-    size_t bytes = 0;
-    for (const Tuple& t : tuples) bytes += TupleByteSize(t);
-    slot.push_back(CaptureRun{rel, std::move(tuples), bytes});
+    const size_t bytes = run.ByteSize();
+    slot.push_back(CaptureRun{std::move(run), bytes});
     return true;
   }
 
@@ -660,9 +675,10 @@ class OnlineProgram final
   /// relation ids, then vertex ids, in ascending order: the (rel, vertex)
   /// order that makes the layer, and every byte encoded from it,
   /// identical for any engine thread count. Runs of one vertex and
-  /// relation keep their capture order. The cost grows with the vertices
-  /// that captured (a sort of their ids, then one pass per relation), not
-  /// with V, so idle vertices of a sparse analytic cost nothing. In the
+  /// relation keep their capture order; each run's cell buffers move into
+  /// the layer as its slice. The cost grows with the vertices that
+  /// captured (a sort of their ids, then one pass per relation), not with
+  /// V, so idle vertices of a sparse analytic cost nothing. In the
   /// kForwardLineage degraded mode only the skeleton relations are kept.
   Layer SealLayer(Superstep step) {
     const size_t n = n_captured_.exchange(0, std::memory_order_relaxed);
@@ -670,6 +686,9 @@ class OnlineProgram final
     std::sort(vertices.begin(), vertices.end());
     Layer layer;
     layer.step = step;
+    size_t n_runs = 0;
+    for (VertexId v : vertices) n_runs += slots_[static_cast<size_t>(v)].size();
+    layer.slices.reserve(n_runs);
     const int n_rels = static_cast<int>(options_.store->schema().size());
     for (int rel = 0; rel < n_rels && !capture_off_; ++rel) {
       if (forward_lineage_only_ && rel != skeleton_superstep_rel_ &&
@@ -678,8 +697,8 @@ class OnlineProgram final
       }
       for (VertexId v : vertices) {
         for (CaptureRun& run : slots_[static_cast<size_t>(v)]) {
-          if (run.rel != rel) continue;
-          layer.slices.push_back(LayerSlice{rel, v, std::move(run.tuples)});
+          if (run.slice.rel != rel) continue;
+          layer.slices.push_back(std::move(run.slice));
           layer.byte_size += run.bytes;
         }
       }
@@ -716,65 +735,85 @@ class OnlineProgram final
   }
 
   void AppendSkeleton(VertexId v, Superstep prev, Superstep step) {
-    const Value loc(static_cast<int64_t>(v));
-    AddCaptureRun(v, skeleton_superstep_rel_,
-                  {{loc, Value(static_cast<int64_t>(step))}});
+    LayerSlice superstep = NewRun(v, skeleton_superstep_rel_, 2);
+    Cell* row = superstep.AddRow();
+    row[0] = Cell::Int(v);
+    row[1] = Cell::Int(step);
+    AddCaptureRun(v, std::move(superstep));
     if (prev >= 0) {
-      AddCaptureRun(v, skeleton_evolution_rel_,
-                    {{loc, Value(static_cast<int64_t>(prev)),
-                      Value(static_cast<int64_t>(step))}});
+      LayerSlice evolution = NewRun(v, skeleton_evolution_rel_, 3);
+      row = evolution.AddRow();
+      row[0] = Cell::Int(v);
+      row[1] = Cell::Int(prev);
+      row[2] = Cell::Int(step);
+      AddCaptureRun(v, std::move(evolution));
     }
   }
 
   /// Fast path for projection-only capture queries: no per-vertex
-  /// database, records project straight into the vertex's capture slot.
+  /// database, records project straight into cell runs of the vertex's
+  /// capture slot.
   void FastCapture(VertexContext<V, WrappedMessage>& ctx, Adapter& adapter,
                    std::span<const WrappedMessage> messages) {
     const VertexId v = ctx.id();
     const Superstep step = ctx.superstep();
-    const Value step_v(static_cast<int64_t>(step));
+    const Cell step_cell = Cell::Int(step);
     const auto& plan = *query_->fast_capture();
 
-    // The EDB record being projected: (loc, value[, step]) or
-    // (loc, other end, payload, step), refilled per record in place.
-    std::array<Value, 4> record{Value(static_cast<int64_t>(v)), Value(),
-                                Value(), step_v};
+    // The EDB record being projected: (loc, value, step) or (loc, other
+    // end, payload, step), refilled per record in place. Its payload
+    // column (`payload_col`: the vertex value or the message) is kept as
+    // a Value and encoded into each run that projects it, so string and
+    // vector payloads land in that run's side store; every other column
+    // is an int cell.
+    std::array<Cell, 4> record{Cell::Int(v), Cell(), Cell(), step_cell};
+    Value payload;
+    int payload_col = 1;
     auto project = [&](const FastCaptureProjection& projection,
-                       std::vector<Tuple>& sink) {
-      Tuple& t = sink.emplace_back();
-      t.reserve(projection.columns.size());
-      for (int col : projection.columns) {
-        t.push_back(col == -1 ? step_v : record[static_cast<size_t>(col)]);
+                       LayerSlice& run) {
+      Cell* out = run.AddRow();
+      for (size_t k = 0; k < projection.columns.size(); ++k) {
+        const int col = projection.columns[k];
+        if (col == -1) {
+          out[k] = step_cell;
+        } else if (col == payload_col) {
+          out[k] = run.Encode(payload);
+        } else {
+          out[k] = record[static_cast<size_t>(col)];
+        }
       }
     };
 
     bool captured = false;
     for (size_t pi = 0; pi < plan.projections.size(); ++pi) {
       const auto& projection = plan.projections[pi];
-      std::vector<Tuple> tuples;
+      LayerSlice run = NewRun(v, FastCaptureRel(pi), projection.columns.size());
       switch (projection.source) {
         case EdbKind::kVertexValueNow:
         case EdbKind::kValue:
-          record[1] = ValueTraits<V>::ToValue(ctx.value());
-          record[2] = step_v;
-          project(projection, tuples);
+          payload = ValueTraits<V>::ToValue(ctx.value());
+          payload_col = 1;
+          record[2] = step_cell;
+          project(projection, run);
           break;
         case EdbKind::kSendNow:
         case EdbKind::kSendMessage:
-          tuples.reserve(adapter.sends.size());
-          for (const auto& [target, payload] : adapter.sends) {
-            record[1] = Value(static_cast<int64_t>(target));
-            record[2] = ValueTraits<M>::ToValue(payload);
-            project(projection, tuples);
+          run.cells.reserve(adapter.sends.size() * run.arity);
+          payload_col = 2;
+          for (const auto& [target, message] : adapter.sends) {
+            record[1] = Cell::Int(target);
+            payload = ValueTraits<M>::ToValue(message);
+            project(projection, run);
           }
           break;
         case EdbKind::kReceiveNow:
         case EdbKind::kReceiveMessage:
-          tuples.reserve(messages.size());
+          run.cells.reserve(messages.size() * run.arity);
+          payload_col = 2;
           for (const auto& m : messages) {
-            record[1] = Value(static_cast<int64_t>(m.src));
-            record[2] = ValueTraits<M>::ToValue(m.payload);
-            project(projection, tuples);
+            record[1] = Cell::Int(m.src);
+            payload = ValueTraits<M>::ToValue(m.payload);
+            project(projection, run);
           }
           break;
         case EdbKind::kEdge:
@@ -785,8 +824,8 @@ class OnlineProgram final
       // Provenance relations are sets: duplicate identical events (e.g. a
       // WCC vertex messaging a reciprocal neighbor via both adjacency
       // directions) must collapse, exactly as the interpreted path dedups.
-      DedupKeepFirst(tuples);
-      captured |= AddCaptureRun(v, FastCaptureRel(pi), std::move(tuples));
+      DedupKeepFirst(run);
+      captured |= AddCaptureRun(v, std::move(run));
     }
     if (captured) AppendSkeleton(v, last_active_[static_cast<size_t>(v)], step);
   }
@@ -813,19 +852,17 @@ class OnlineProgram final
       if (projection.source != EdbKind::kEdge) continue;
       const int store_rel = FastCaptureRel(pi);
       for (VertexId v = 0; v < graph_->num_vertices(); ++v) {
-        std::vector<Tuple> tuples;
-        const Value loc(static_cast<int64_t>(v));
+        LayerSlice slice = NewRun(v, store_rel, projection.columns.size());
         for (VertexId u : graph_->OutNeighbors(v)) {
-          Tuple source{loc, Value(static_cast<int64_t>(u))};
-          Tuple t;
-          t.reserve(projection.columns.size());
-          for (int col : projection.columns) {
+          const std::array<Cell, 2> source{Cell::Int(v), Cell::Int(u)};
+          Cell* out = slice.AddRow();
+          for (size_t k = 0; k < projection.columns.size(); ++k) {
+            const int col = projection.columns[k];
             ARIADNE_CHECK(col >= 0);
-            t.push_back(source[static_cast<size_t>(col)]);
+            out[k] = source[static_cast<size_t>(col)];
           }
-          tuples.push_back(std::move(t));
         }
-        options_.store->static_layer().Add(store_rel, v, std::move(tuples));
+        options_.store->static_layer().Add(std::move(slice));
       }
     }
   }
@@ -848,11 +885,11 @@ class OnlineProgram final
   int skeleton_evolution_rel_ = -1;
 
   /// One run of a vertex's capture slot: the tuples one projection (or
-  /// one output relation of the generic path) captured this superstep.
+  /// one output relation of the generic path) captured this superstep,
+  /// already in the slice form the layer keeps.
   struct CaptureRun {
-    int rel = 0;
-    std::vector<Tuple> tuples;
-    size_t bytes = 0;  ///< TupleByteSize sum, computed by the worker
+    LayerSlice slice;
+    size_t bytes = 0;  ///< slice.ByteSize(), computed by the worker
   };
   /// Per-vertex capture slots of the current superstep (capture runs
   /// only), filled lock-free by the computing worker, drained by

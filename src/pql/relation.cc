@@ -228,7 +228,54 @@ bool Relation::Insert(const Tuple& t) {
   probe_ = nullptr;
   const uint32_t idx = EncodeRow(t);
   dedup_.insert(idx);
-  byte_size_ += TupleByteSize(t);
+  CommitRow(idx, TupleByteSize(t));
+  return true;
+}
+
+bool Relation::InsertCells(std::span<const Cell> row,
+                           std::span<const Value> side) {
+  // Store first, then dedup against the stored row: a duplicate is
+  // rolled back. Interned payloads of a dropped row stay pooled, like
+  // the payloads of rows removed by Clear.
+  const size_t base = cells_.size();
+  size_t bytes = 8;  // TupleByteSize row overhead
+  for (Cell c : row) {
+    switch (c.tag) {
+      case Value::Kind::kNull:
+        bytes += 1;
+        break;
+      case Value::Kind::kInt:
+      case Value::Kind::kDouble:
+        bytes += 8;
+        break;
+      case Value::Kind::kString: {
+        const std::string& s = side[c.ref].AsString();
+        bytes += sizeof(size_t) + s.size();
+        c.ref = InternString(s);
+        break;
+      }
+      case Value::Kind::kDoubleVector: {
+        const std::vector<double>& v = side[c.ref].AsDoubleVector();
+        bytes += sizeof(size_t) + v.size() * sizeof(double);
+        c.ref = InternDoubleVector(v);
+        break;
+      }
+    }
+    cells_.push_back(c);
+  }
+  row_begin_.push_back(static_cast<uint32_t>(cells_.size()));
+  const uint32_t idx = static_cast<uint32_t>(row_begin_.size() - 2);
+  if (!dedup_.insert(idx).second) {
+    row_begin_.pop_back();
+    cells_.resize(base);
+    return false;
+  }
+  CommitRow(idx, bytes);
+  return true;
+}
+
+void Relation::CommitRow(uint32_t idx, size_t bytes) {
+  byte_size_ += bytes;
   ++version_;
   // Extend any live indexes so Probe results stay complete.
   for (auto& [col, index] : indexes_) {
@@ -238,7 +285,6 @@ bool Relation::Insert(const Tuple& t) {
       index.indexed_up_to = idx + 1;
     }
   }
-  return true;
 }
 
 bool Relation::Contains(const Tuple& t) const {

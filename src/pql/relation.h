@@ -4,12 +4,14 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "common/cell.h"
 #include "common/value.h"
 
 namespace ariadne {
@@ -41,17 +43,9 @@ std::string TupleToString(const Tuple& t);
 /// unchanged.
 class Relation {
  public:
-  /// One flat column cell. 16 bytes; the payload interpretation follows
-  /// the tag (inline int/double, or an id into the owning relation's
-  /// string / double-vector pool).
-  struct Cell {
-    Value::Kind tag = Value::Kind::kNull;
-    union {
-      int64_t i;
-      double d;
-      uint32_t ref;
-    };
-  };
+  /// One flat column cell (common/cell.h); string and double-vector
+  /// cells hold an id into this relation's pools.
+  using Cell = ::ariadne::Cell;
 
   /// Borrowed view of one stored row. Valid until the next mutating call
   /// on the owning relation (same lifetime rule as Probe results).
@@ -109,6 +103,12 @@ class Relation {
 
   /// Inserts a tuple; returns false (and drops it) when already present.
   bool Insert(const Tuple& t);
+
+  /// Inserts one row given as cells whose string / double-vector payloads
+  /// are `side[cell.ref]` (a layer slice's row and side store), interning
+  /// those payloads into this relation's pools. Same set semantics,
+  /// byte accounting and index maintenance as Insert, with no Tuple.
+  bool InsertCells(std::span<const Cell> row, std::span<const Value> side);
 
   bool Contains(const Tuple& t) const;
 
@@ -175,6 +175,9 @@ class Relation {
   /// Appends `t` to the arena (interning strings/vectors); returns the
   /// new row index. Does not touch dedup/indexes/version.
   uint32_t EncodeRow(const Tuple& t);
+  /// Accounts a newly stored row `idx` of `bytes` logical bytes: version
+  /// bump and extension of the live indexes.
+  void CommitRow(uint32_t idx, size_t bytes);
 
   uint32_t InternString(const std::string& s);
   uint32_t InternDoubleVector(const std::vector<double>& v);

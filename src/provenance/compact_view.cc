@@ -19,12 +19,9 @@ Result<CompactProvenance> CompactProvenance::Build(ProvenanceStore* store) {
   view.receive_rel_ = rel_id("receive-message");
 
   auto absorb = [&](const Layer& layer) {
+    view.total_bytes_ += layer.byte_size;
     for (const auto& slice : layer.slices) {
-      auto& table = view.vertices_[slice.vertex].by_relation[slice.rel];
-      for (const Tuple& t : slice.tuples) {
-        view.total_bytes_ += TupleByteSize(t);
-        table.push_back(t);
-      }
+      view.vertices_[slice.vertex].by_relation[slice.rel].push_back(slice);
     }
   };
   absorb(store->static_data());
@@ -43,43 +40,48 @@ std::vector<VertexId> CompactProvenance::Vertices() const {
   return out;
 }
 
-const std::vector<Tuple>& CompactProvenance::RelTable(VertexId vertex,
-                                                      int rel) const {
-  static const std::vector<Tuple> kEmpty;
-  if (rel < 0) return kEmpty;
-  auto it = vertices_.find(vertex);
-  if (it == vertices_.end()) return kEmpty;
-  auto jt = it->second.by_relation.find(rel);
-  return jt == it->second.by_relation.end() ? kEmpty : jt->second;
+std::vector<Tuple> CompactProvenance::Table(
+    VertexId vertex, const std::string& relation) const {
+  std::vector<Tuple> out;
+  for (size_t r = 0; r < schema_.size(); ++r) {
+    if (schema_[r].name != relation) continue;
+    ForEachRow(vertex, static_cast<int>(r),
+               [&](const LayerSlice& slice, const Cell* row) {
+                 Tuple t;
+                 for (size_t k = 0; k < slice.arity; ++k) {
+                   t.push_back(slice.ValueOf(row[k]));
+                 }
+                 out.push_back(std::move(t));
+               });
+    break;
+  }
+  return out;
 }
 
-const std::vector<Tuple>& CompactProvenance::Table(
-    VertexId vertex, const std::string& relation) const {
-  static const std::vector<Tuple> kEmpty;
-  for (size_t r = 0; r < schema_.size(); ++r) {
-    if (schema_[r].name == relation) {
-      return RelTable(vertex, static_cast<int>(r));
-    }
-  }
-  return kEmpty;
-}
+namespace {
+
+bool IsInt(const Cell& c) { return c.tag == Value::Kind::kInt; }
+
+}  // namespace
 
 std::vector<std::pair<Superstep, Value>> CompactProvenance::ValueHistory(
     VertexId vertex) const {
   std::vector<std::pair<Superstep, Value>> out;
   // Stored as value(x, d, i) or prov-value(x, i, d): detect by column
   // kind (the superstep column is the integer one).
-  for (const Tuple& t : RelTable(vertex, value_rel_)) {
-    if (t.size() != 3) continue;
-    if (value_rel_ >= 0 &&
-        schema_[static_cast<size_t>(value_rel_)].name == "prov-value") {
-      if (t[1].is_int()) {
-        out.emplace_back(static_cast<Superstep>(t[1].AsInt()), t[2]);
+  const bool prov_value =
+      value_rel_ >= 0 &&
+      schema_[static_cast<size_t>(value_rel_)].name == "prov-value";
+  ForEachRow(vertex, value_rel_, [&](const LayerSlice& slice, const Cell* t) {
+    if (slice.arity != 3) return;
+    if (prov_value) {
+      if (IsInt(t[1])) {
+        out.emplace_back(static_cast<Superstep>(t[1].i), slice.ValueOf(t[2]));
       }
-    } else if (t[2].is_int()) {
-      out.emplace_back(static_cast<Superstep>(t[2].AsInt()), t[1]);
+    } else if (IsInt(t[2])) {
+      out.emplace_back(static_cast<Superstep>(t[2].i), slice.ValueOf(t[1]));
     }
-  }
+  });
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;
@@ -88,11 +90,12 @@ std::vector<std::pair<Superstep, Value>> CompactProvenance::ValueHistory(
 std::vector<Superstep> CompactProvenance::ActiveSupersteps(
     VertexId vertex) const {
   std::vector<Superstep> out;
-  for (const Tuple& t : RelTable(vertex, superstep_rel_)) {
-    if (t.size() == 2 && t[1].is_int()) {
-      out.push_back(static_cast<Superstep>(t[1].AsInt()));
-    }
-  }
+  ForEachRow(vertex, superstep_rel_,
+             [&](const LayerSlice& slice, const Cell* t) {
+               if (slice.arity == 2 && IsInt(t[1])) {
+                 out.push_back(static_cast<Superstep>(t[1].i));
+               }
+             });
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -100,12 +103,13 @@ std::vector<Superstep> CompactProvenance::ActiveSupersteps(
 std::vector<std::pair<Superstep, Superstep>> CompactProvenance::Evolution(
     VertexId vertex) const {
   std::vector<std::pair<Superstep, Superstep>> out;
-  for (const Tuple& t : RelTable(vertex, evolution_rel_)) {
-    if (t.size() == 3 && t[1].is_int() && t[2].is_int()) {
-      out.emplace_back(static_cast<Superstep>(t[1].AsInt()),
-                       static_cast<Superstep>(t[2].AsInt()));
-    }
-  }
+  ForEachRow(vertex, evolution_rel_,
+             [&](const LayerSlice& slice, const Cell* t) {
+               if (slice.arity == 3 && IsInt(t[1]) && IsInt(t[2])) {
+                 out.emplace_back(static_cast<Superstep>(t[1].i),
+                                  static_cast<Superstep>(t[2].i));
+               }
+             });
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -113,14 +117,14 @@ std::vector<std::pair<Superstep, Superstep>> CompactProvenance::Evolution(
 std::vector<std::pair<VertexId, Superstep>> CompactProvenance::SentTo(
     VertexId vertex) const {
   std::vector<std::pair<VertexId, Superstep>> out;
-  for (const Tuple& t : RelTable(vertex, send_rel_)) {
+  ForEachRow(vertex, send_rel_, [&](const LayerSlice& slice, const Cell* t) {
     // send-message(x, y, m, i) or prov-send(x, i).
-    if (t.size() == 4 && t[1].is_int() && t[3].is_int()) {
-      out.emplace_back(t[1].AsInt(), static_cast<Superstep>(t[3].AsInt()));
-    } else if (t.size() == 2 && t[1].is_int()) {
-      out.emplace_back(-1, static_cast<Superstep>(t[1].AsInt()));
+    if (slice.arity == 4 && IsInt(t[1]) && IsInt(t[3])) {
+      out.emplace_back(t[1].i, static_cast<Superstep>(t[3].i));
+    } else if (slice.arity == 2 && IsInt(t[1])) {
+      out.emplace_back(-1, static_cast<Superstep>(t[1].i));
     }
-  }
+  });
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -128,11 +132,12 @@ std::vector<std::pair<VertexId, Superstep>> CompactProvenance::SentTo(
 std::vector<std::pair<VertexId, Superstep>> CompactProvenance::ReceivedFrom(
     VertexId vertex) const {
   std::vector<std::pair<VertexId, Superstep>> out;
-  for (const Tuple& t : RelTable(vertex, receive_rel_)) {
-    if (t.size() == 4 && t[1].is_int() && t[3].is_int()) {
-      out.emplace_back(t[1].AsInt(), static_cast<Superstep>(t[3].AsInt()));
-    }
-  }
+  ForEachRow(vertex, receive_rel_,
+             [&](const LayerSlice& slice, const Cell* t) {
+               if (slice.arity == 4 && IsInt(t[1]) && IsInt(t[3])) {
+                 out.emplace_back(t[1].i, static_cast<Superstep>(t[3].i));
+               }
+             });
   std::sort(out.begin(), out.end());
   return out;
 }

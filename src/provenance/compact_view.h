@@ -20,16 +20,16 @@ namespace ariadne {
 class CompactProvenance {
  public:
   /// Materializes the per-vertex view from `store` (loads spilled layers
-  /// on demand; the view owns copies of the tuples).
+  /// on demand; the view owns copies of the layer slices).
   static Result<CompactProvenance> Build(ProvenanceStore* store);
 
   /// Vertices with at least one captured fact, ascending.
   std::vector<VertexId> Vertices() const;
 
-  /// Tuples of `relation` at `vertex` (empty when absent). Tuples appear
-  /// in capture (superstep) order.
-  const std::vector<Tuple>& Table(VertexId vertex,
-                                  const std::string& relation) const;
+  /// Tuples of `relation` at `vertex` (empty when absent), materialized.
+  /// Tuples appear in capture (superstep) order.
+  std::vector<Tuple> Table(VertexId vertex,
+                           const std::string& relation) const;
 
   /// Value history of a vertex: (superstep, value), ascending, from the
   /// stored `value` (or `prov-value`) relation.
@@ -55,10 +55,22 @@ class CompactProvenance {
 
  private:
   struct VertexTables {
-    std::unordered_map<int, std::vector<Tuple>> by_relation;
+    std::unordered_map<int, std::vector<LayerSlice>> by_relation;
   };
 
-  const std::vector<Tuple>& RelTable(VertexId vertex, int rel) const;
+  /// Calls f(slice, row) for every row of `rel` at `vertex`, in capture
+  /// order; rows are read in place from the slices' cells.
+  template <typename F>
+  void ForEachRow(VertexId vertex, int rel, F f) const {
+    if (rel < 0) return;
+    auto it = vertices_.find(vertex);
+    if (it == vertices_.end()) return;
+    auto jt = it->second.by_relation.find(rel);
+    if (jt == it->second.by_relation.end()) return;
+    for (const LayerSlice& slice : jt->second) {
+      for (size_t i = 0; i < slice.size(); ++i) f(slice, slice.row(i));
+    }
+  }
 
   std::vector<StoredRelation> schema_;
   std::unordered_map<VertexId, VertexTables> vertices_;

@@ -50,6 +50,13 @@ int ProvenanceStore::RelId(const std::string& name) const {
   return -1;
 }
 
+std::vector<int> ProvenanceStore::arities() const {
+  std::vector<int> out;
+  out.reserve(schema_.size());
+  for (const auto& rel : schema_) out.push_back(rel.arity);
+  return out;
+}
+
 StoreSchema ProvenanceStore::ToStoreSchema() const {
   StoreSchema out;
   for (const auto& rel : schema_) {
@@ -103,7 +110,7 @@ size_t ProvenanceStore::InMemoryBytes() const {
 int64_t ProvenanceStore::TotalTuples() const {
   int64_t n = 0;
   for (const auto& slice : static_layer_.slices) {
-    n += static_cast<int64_t>(slice.tuples.size());
+    n += static_cast<int64_t>(slice.size());
   }
   return n + layers_->TotalTuples();
 }
@@ -183,8 +190,10 @@ Result<ProvenanceStore> LoadBody(BinaryReader& reader, const std::string& path,
     ARIADNE_ASSIGN_OR_RETURN(uint32_t arity, reader.ReadU32());
     store.AddRelation(name, static_cast<int>(arity));
   }
+  const std::vector<int> arities = store.arities();
   {
-    auto layer = storage::ReadLayerFrame(reader, path + " (static layer)");
+    auto layer =
+        storage::ReadLayerFrame(reader, path + " (static layer)", arities);
     if (!layer.ok()) return layer.status();
     store.static_layer() = std::move(layer).value();
   }
@@ -197,7 +206,7 @@ Result<ProvenanceStore> LoadBody(BinaryReader& reader, const std::string& path,
   }
   for (uint64_t i = 0; i < n_layers; ++i) {
     auto layer = storage::ReadLayerFrame(
-        reader, path + " (layer " + std::to_string(i) + ")");
+        reader, path + " (layer " + std::to_string(i) + ")", arities);
     if (!layer.ok()) return layer.status();
     ARIADNE_RETURN_NOT_OK(store.AppendLayer(std::move(layer).value()));
   }

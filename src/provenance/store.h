@@ -40,6 +40,9 @@ class ProvenanceStore {
   int AddRelation(const std::string& name, int arity);
   int RelId(const std::string& name) const;  ///< -1 if absent
   const std::vector<StoredRelation>& schema() const { return schema_; }
+  /// Arity of each schema relation, by id: what a decoded page's slices
+  /// are checked against (storage::DecodePage).
+  std::vector<int> arities() const;
 
   /// Schema view for Analyze() of offline queries.
   StoreSchema ToStoreSchema() const;

@@ -41,7 +41,7 @@ Result<std::string> ReadRegion(const std::string& path, uint64_t offset,
 int64_t CountTuples(const Layer& layer) {
   int64_t n = 0;
   for (const auto& slice : layer.slices) {
-    n += static_cast<int64_t>(slice.tuples.size());
+    n += static_cast<int64_t>(slice.size());
   }
   return n;
 }
@@ -74,10 +74,15 @@ Status LayerStore::Configure(LayerStoreOptions options) {
   cache_ = std::make_unique<PageCache>(options_.mem_budget_bytes / 4);
   flusher_ = std::make_unique<BackgroundFlusher>(options_.flush_threads);
   configured_ = true;
+  std::vector<Entry*> pending;
   for (auto& entry : entries_) {
-    if (!entry->flushed) SubmitFlushLocked(entry.get());
+    if (!entry->flushed) {
+      MarkFlushPendingLocked(entry.get());
+      pending.push_back(entry.get());
+    }
   }
   lock.unlock();
+  for (Entry* entry : pending) SubmitFlush(entry);
   // Callers (and existing tests) treat EnableSpill as synchronous: the
   // store is under budget when it returns.
   flusher_->Drain();
@@ -105,7 +110,10 @@ Status LayerStore::Append(std::shared_ptr<const Layer> layer) {
   // Degraded mode: the store is a plain in-memory store for new layers —
   // no spilling, no backpressure, no sticky error.
   if (!configured_ || degraded_) return Status::OK();
-  SubmitFlushLocked(raw);
+  MarkFlushPendingLocked(raw);
+  lock.unlock();
+  SubmitFlush(raw);
+  lock.lock();
   // Write-behind with bounded lag: the barrier only waits when the
   // flusher has fallen `max_unflushed_bytes` behind.
   backpressure_cv_.wait(lock, [&] {
@@ -115,9 +123,14 @@ Status LayerStore::Append(std::shared_ptr<const Layer> layer) {
   return degraded_ ? Status::OK() : first_flush_error_;
 }
 
-void LayerStore::SubmitFlushLocked(Entry* entry) {
+void LayerStore::MarkFlushPendingLocked(Entry* entry) {
   entry->flush_pending = true;
   unflushed_bytes_ += entry->byte_size;
+}
+
+void LayerStore::SubmitFlush(Entry* entry) {
+  // Never called under mu_: with flush_threads <= 0 Submit runs the
+  // flush on this stack, and FlushEntry takes mu_.
   flusher_->Submit([this, entry] { FlushEntry(entry); });
 }
 
@@ -205,11 +218,7 @@ void LayerStore::FlushEntry(Entry* entry) {
     }
   }
   backpressure_cv_.notify_all();
-  // Resubmitted outside the lock: in inline-flusher mode Submit runs the
-  // task on this stack, which would self-deadlock on mu_ otherwise.
-  if (requeue) {
-    flusher_->Submit([this, entry] { FlushEntry(entry); });
-  }
+  if (requeue) SubmitFlush(entry);
 }
 
 size_t LayerStore::DecodedBudget() const {

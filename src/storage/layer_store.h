@@ -241,7 +241,10 @@ class LayerStore {
     uint64_t last_use = 0;
   };
 
-  void SubmitFlushLocked(Entry* entry);
+  /// Accounts `entry` as awaiting flush (under mu_); SubmitFlush then
+  /// queues the flush, outside mu_.
+  void MarkFlushPendingLocked(Entry* entry);
+  void SubmitFlush(Entry* entry);
   void FlushEntry(Entry* entry);
   void EvictResidentsLocked() const;
   size_t DecodedBudget() const;

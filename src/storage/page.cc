@@ -1,5 +1,6 @@
 #include "storage/page.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace ariadne::storage {
@@ -22,99 +23,147 @@ enum SliceFormat : uint8_t {
   kSliceRowMajor = 1,  ///< mixed arity fallback, row-major tagged values
 };
 
-void AppendDoubleRaw(std::string* out, double d) {
-  char buf[sizeof(double)];
-  std::memcpy(buf, &d, sizeof(double));
-  out->append(buf, sizeof(double));
+// The encoder writes each slice through a raw cursor into a buffer sized
+// by SliceBound, so no byte pays a std::string capacity check.
+
+char* PutVarint(char* p, uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<char>((v & 0x7f) | 0x80);
+    v >>= 7;
+  }
+  *p++ = static_cast<char>(v);
+  return p;
 }
 
-void AppendValueTagged(std::string* out, const Value& v) {
-  out->push_back(static_cast<char>(v.kind()));
-  switch (v.kind()) {
+char* PutZigzag(char* p, int64_t v) {
+  return PutVarint(p, (static_cast<uint64_t>(v) << 1) ^
+                          static_cast<uint64_t>(v >> 63));
+}
+
+char* PutDouble(char* p, double d) {
+  std::memcpy(p, &d, sizeof(double));
+  return p + sizeof(double);
+}
+
+char* PutCellTagged(char* p, const LayerSlice& slice, const Cell& c) {
+  *p++ = static_cast<char>(c.tag);
+  switch (c.tag) {
     case Value::Kind::kNull:
-      break;
+      return p;
     case Value::Kind::kInt:
-      AppendZigzag(out, v.AsInt());
-      break;
+      return PutZigzag(p, c.i);
     case Value::Kind::kDouble:
-      AppendDoubleRaw(out, v.AsDouble());
-      break;
+      return PutDouble(p, c.d);
     case Value::Kind::kString: {
-      const std::string& s = v.AsString();
-      AppendVarint(out, s.size());
-      out->append(s);
-      break;
+      const std::string& str = slice.String(c);
+      p = PutVarint(p, str.size());
+      std::memcpy(p, str.data(), str.size());
+      return p + str.size();
     }
     case Value::Kind::kDoubleVector: {
-      const auto& vec = v.AsDoubleVector();
-      AppendVarint(out, vec.size());
-      for (double d : vec) AppendDoubleRaw(out, d);
-      break;
+      const auto& vec = slice.DoubleVector(c);
+      p = PutVarint(p, vec.size());
+      for (double d : vec) p = PutDouble(p, d);
+      return p;
     }
+  }
+  return p;
+}
+
+/// Upper bound on the encoded bytes of `slice`: at most 12 bytes of
+/// column header (column tag, value tag, varint) per column and 11 per
+/// cell, plus every side payload a cell references, plus the slice
+/// header and one arity byte per row of a zero-arity slice.
+size_t SliceBound(const LayerSlice& slice) {
+  size_t bound = 32 + size_t{12} * slice.arity + 11 * slice.cells.size() +
+                 slice.rows;
+  if (!slice.side.empty()) {
+    for (const Cell& c : slice.cells) {
+      if (c.tag == Value::Kind::kString) {
+        bound += slice.String(c).size();
+      } else if (c.tag == Value::Kind::kDoubleVector) {
+        bound += slice.DoubleVector(c).size() * sizeof(double);
+      }
+    }
+  }
+  return bound;
+}
+
+/// Value equality of two cells of one slice (LayerSlice::CellEquals),
+/// with the inline kinds decided here.
+bool SameCell(const LayerSlice& slice, const Cell& a, const Cell& b) {
+  if (a.tag != b.tag) return false;
+  switch (a.tag) {
+    case Value::Kind::kNull:
+      return true;
+    case Value::Kind::kInt:
+      return a.i == b.i;
+    case Value::Kind::kDouble:
+      return a.d == b.d;
+    default:
+      return slice.CellEquals(a, slice, b);
   }
 }
 
-void AppendColumn(std::string* out, const std::vector<Tuple>& tuples,
-                  size_t col) {
-  const Value& first = tuples[0][col];
+char* PutColumn(char* p, const LayerSlice& slice, size_t col) {
+  const size_t arity = slice.arity;
+  const Cell* cells = slice.cells.data() + col;
+  const size_t end = slice.cells.size();
+  const Cell& first = cells[0];
   bool all_equal = true;
-  bool all_int = first.is_int();
-  bool all_double = first.is_double();
-  for (const Tuple& t : tuples) {
-    const Value& v = t[col];
-    if (all_equal && v != first) all_equal = false;
-    if (all_int && !v.is_int()) all_int = false;
-    if (all_double && !v.is_double()) all_double = false;
+  bool all_int = first.tag == Value::Kind::kInt;
+  bool all_double = first.tag == Value::Kind::kDouble;
+  for (size_t i = arity; i + col < end; i += arity) {
+    const Cell& c = cells[i];
+    if (all_equal && !SameCell(slice, c, first)) all_equal = false;
+    if (c.tag != first.tag) all_int = all_double = false;
   }
+  if (all_equal && !SameCell(slice, first, first)) all_equal = false;  // NaN
   if (all_equal) {
-    out->push_back(static_cast<char>(kColConst));
-    AppendValueTagged(out, first);
-    return;
+    *p++ = static_cast<char>(kColConst);
+    return PutCellTagged(p, slice, first);
   }
   if (all_int) {
-    out->push_back(static_cast<char>(kColIntDelta));
+    *p++ = static_cast<char>(kColIntDelta);
     int64_t prev = 0;
-    for (const Tuple& t : tuples) {
-      const int64_t v = t[col].AsInt();
-      AppendZigzag(out, v - prev);
-      prev = v;
+    for (size_t i = 0; i + col < end; i += arity) {
+      p = PutZigzag(p, cells[i].i - prev);
+      prev = cells[i].i;
     }
-    return;
+    return p;
   }
   if (all_double) {
-    out->push_back(static_cast<char>(kColDouble));
-    for (const Tuple& t : tuples) AppendDoubleRaw(out, t[col].AsDouble());
-    return;
+    *p++ = static_cast<char>(kColDouble);
+    for (size_t i = 0; i + col < end; i += arity) p = PutDouble(p, cells[i].d);
+    return p;
   }
-  out->push_back(static_cast<char>(kColMixed));
-  for (const Tuple& t : tuples) AppendValueTagged(out, t[col]);
+  *p++ = static_cast<char>(kColMixed);
+  for (size_t i = 0; i + col < end; i += arity) {
+    p = PutCellTagged(p, slice, cells[i]);
+  }
+  return p;
 }
 
 void AppendSlice(std::string* out, const LayerSlice& slice,
                  VertexId prev_vertex) {
-  AppendZigzag(out, slice.vertex - prev_vertex);
-  AppendVarint(out, slice.tuples.size());
-  const size_t arity = slice.tuples[0].size();
-  bool uniform = true;
-  for (const Tuple& t : slice.tuples) {
-    if (t.size() != arity) {
-      uniform = false;
-      break;
+  const size_t begin = out->size();
+  out->resize(begin + SliceBound(slice));
+  char* const base = out->data();
+  char* p = base + begin;
+  p = PutZigzag(p, slice.vertex - prev_vertex);
+  p = PutVarint(p, slice.size());
+  if (slice.arity == 0) {
+    // Zero-arity rows have no columns to lay out.
+    *p++ = static_cast<char>(kSliceRowMajor);
+    for (size_t i = 0; i < slice.size(); ++i) p = PutVarint(p, 0);
+  } else {
+    *p++ = static_cast<char>(kSliceColumnar);
+    p = PutVarint(p, slice.arity);
+    for (size_t col = 0; col < slice.arity; ++col) {
+      p = PutColumn(p, slice, col);
     }
   }
-  if (!uniform || arity == 0) {
-    out->push_back(static_cast<char>(kSliceRowMajor));
-    for (const Tuple& t : slice.tuples) {
-      AppendVarint(out, t.size());
-      for (const Value& v : t) AppendValueTagged(out, v);
-    }
-    return;
-  }
-  out->push_back(static_cast<char>(kSliceColumnar));
-  AppendVarint(out, arity);
-  for (size_t col = 0; col < arity; ++col) {
-    AppendColumn(out, slice.tuples, col);
-  }
+  out->resize(static_cast<size_t>(p - base));
 }
 
 Result<double> ReadDoubleRaw(ByteReader& reader) {
@@ -123,18 +172,20 @@ Result<double> ReadDoubleRaw(ByteReader& reader) {
   return d;
 }
 
-Result<Value> ReadValueTagged(ByteReader& reader) {
+/// Reads one tagged value into a cell of `slice` (payloads into its side
+/// store).
+Result<Cell> ReadCellTagged(ByteReader& reader, LayerSlice& slice) {
   ARIADNE_ASSIGN_OR_RETURN(uint8_t kind, reader.ReadByte());
   switch (static_cast<Value::Kind>(kind)) {
     case Value::Kind::kNull:
-      return Value();
+      return Cell();
     case Value::Kind::kInt: {
       ARIADNE_ASSIGN_OR_RETURN(int64_t v, reader.ReadZigzag());
-      return Value(v);
+      return Cell::Int(v);
     }
     case Value::Kind::kDouble: {
       ARIADNE_ASSIGN_OR_RETURN(double v, ReadDoubleRaw(reader));
-      return Value(v);
+      return Cell::Double(v);
     }
     case Value::Kind::kString: {
       ARIADNE_ASSIGN_OR_RETURN(uint64_t n, reader.ReadVarint());
@@ -142,9 +193,9 @@ Result<Value> ReadValueTagged(ByteReader& reader) {
         return Status::OutOfRange("string length " + std::to_string(n) +
                                   " exceeds payload");
       }
-      std::string s(n, '\0');
-      ARIADNE_RETURN_NOT_OK(reader.ReadRaw(s.data(), n));
-      return Value(std::move(s));
+      std::string str(n, '\0');
+      ARIADNE_RETURN_NOT_OK(reader.ReadRaw(str.data(), n));
+      return slice.Encode(Value(std::move(str)));
     }
     case Value::Kind::kDoubleVector: {
       ARIADNE_ASSIGN_OR_RETURN(uint64_t n, reader.ReadVarint());
@@ -153,45 +204,47 @@ Result<Value> ReadValueTagged(ByteReader& reader) {
                                   " exceeds payload");
       }
       std::vector<double> vec(n);
-      for (uint64_t i = 0; i < n; ++i) {
-        ARIADNE_ASSIGN_OR_RETURN(vec[i], ReadDoubleRaw(reader));
+      if (n > 0) {
+        ARIADNE_RETURN_NOT_OK(reader.ReadRaw(vec.data(), n * sizeof(double)));
       }
-      return Value(std::move(vec));
+      return slice.Encode(Value(std::move(vec)));
     }
   }
   return Status::ParseError("unknown value kind tag " + std::to_string(kind));
 }
 
-Status ReadColumn(ByteReader& reader, std::vector<Tuple>& tuples,
-                  size_t col) {
+/// Decodes column `col` of a columnar slice whose cells are allocated.
+Status ReadColumn(ByteReader& reader, LayerSlice& slice, size_t col) {
   ARIADNE_ASSIGN_OR_RETURN(uint8_t tag, reader.ReadByte());
-  const size_t n = tuples.size();
+  const size_t arity = slice.arity;
+  const size_t end = slice.cells.size();
+  Cell* cells = slice.cells.data() + col;
   switch (tag) {
     case kColConst: {
-      ARIADNE_ASSIGN_OR_RETURN(Value v, ReadValueTagged(reader));
-      for (size_t i = 0; i + 1 < n; ++i) tuples[i][col] = v;
-      tuples[n - 1][col] = std::move(v);
+      ARIADNE_ASSIGN_OR_RETURN(Cell c, ReadCellTagged(reader, slice));
+      // Every row shares the one side entry of a const payload column.
+      for (size_t i = 0; i + col < end; i += arity) cells[i] = c;
       return Status::OK();
     }
     case kColIntDelta: {
       int64_t prev = 0;
-      for (size_t i = 0; i < n; ++i) {
+      for (size_t i = 0; i + col < end; i += arity) {
         ARIADNE_ASSIGN_OR_RETURN(int64_t delta, reader.ReadZigzag());
         prev += delta;
-        tuples[i][col] = Value(prev);
+        cells[i] = Cell::Int(prev);
       }
       return Status::OK();
     }
     case kColDouble: {
-      for (size_t i = 0; i < n; ++i) {
+      for (size_t i = 0; i + col < end; i += arity) {
         ARIADNE_ASSIGN_OR_RETURN(double d, ReadDoubleRaw(reader));
-        tuples[i][col] = Value(d);
+        cells[i] = Cell::Double(d);
       }
       return Status::OK();
     }
     case kColMixed: {
-      for (size_t i = 0; i < n; ++i) {
-        ARIADNE_ASSIGN_OR_RETURN(tuples[i][col], ReadValueTagged(reader));
+      for (size_t i = 0; i + col < end; i += arity) {
+        ARIADNE_ASSIGN_OR_RETURN(cells[i], ReadCellTagged(reader, slice));
       }
       return Status::OK();
     }
@@ -325,7 +378,7 @@ std::vector<Page> EncodeLayer(const Layer& layer, size_t page_size) {
   std::vector<Page> pages;
   Page* open = nullptr;
   for (const LayerSlice& slice : layer.slices) {
-    if (slice.tuples.empty()) continue;
+    if (slice.empty()) continue;
     const uint32_t rel = static_cast<uint32_t>(slice.rel);
     if (open == nullptr || open->header.rel != rel ||
         open->payload.size() >= page_size) {
@@ -342,16 +395,30 @@ std::vector<Page> EncodeLayer(const Layer& layer, size_t page_size) {
     AppendSlice(&open->payload, slice, prev);
     open->header.last_vertex = slice.vertex;
     ++open->header.slice_count;
-    for (const Tuple& t : slice.tuples) {
-      open->header.raw_bytes += TupleByteSize(t);
-    }
+    open->header.raw_bytes += slice.ByteSize();
   }
   return pages;
 }
 
-Status DecodePage(const Page& page, Layer* layer) {
+Status DecodePage(const Page& page, Layer* layer,
+                  std::span<const int> arities) {
+  const uint32_t rel = page.header.rel;
+  if (!arities.empty() && rel >= arities.size()) {
+    return Status::ParseError("page relation id " + std::to_string(rel) +
+                              " outside the schema (" +
+                              std::to_string(arities.size()) +
+                              " relations)");
+  }
   ByteReader reader(page.payload);
   VertexId prev_vertex = 0;
+  // Grow geometrically across the pages of one layer; the count is only
+  // a hint (a corrupt one fails below, before any slice is trusted).
+  const size_t want = layer->slices.size() +
+                      std::min<size_t>(page.header.slice_count,
+                                       page.payload.size());
+  if (want > layer->slices.capacity()) {
+    layer->slices.reserve(std::max(want, 2 * layer->slices.capacity()));
+  }
   for (uint32_t s = 0; s < page.header.slice_count; ++s) {
     ARIADNE_ASSIGN_OR_RETURN(int64_t delta, reader.ReadZigzag());
     const VertexId vertex = prev_vertex + delta;
@@ -367,21 +434,29 @@ Status DecodePage(const Page& page, Layer* layer) {
                                 std::to_string(reader.pos()));
     }
     ARIADNE_ASSIGN_OR_RETURN(uint8_t format, reader.ReadByte());
-    std::vector<Tuple> tuples;
+    LayerSlice slice;
+    slice.rel = static_cast<int>(rel);
+    slice.vertex = vertex;
     if (format == kSliceRowMajor) {
-      tuples.reserve(n_tuples);
+      // Written for zero-arity rows; each row repeats its arity, and a
+      // slice holds one arity, so a row that differs is malformed.
       for (uint64_t i = 0; i < n_tuples; ++i) {
         ARIADNE_ASSIGN_OR_RETURN(uint64_t arity, reader.ReadVarint());
         if (arity > reader.remaining()) {
           return Status::ParseError("tuple arity exceeds payload");
         }
-        Tuple t;
-        t.reserve(arity);
-        for (uint64_t a = 0; a < arity; ++a) {
-          ARIADNE_ASSIGN_OR_RETURN(Value v, ReadValueTagged(reader));
-          t.push_back(std::move(v));
+        if (i == 0) {
+          slice.arity = static_cast<uint32_t>(arity);
+        } else if (arity != slice.arity) {
+          return Status::ParseError(
+              "row-major slice mixes arities " +
+              std::to_string(slice.arity) + " and " + std::to_string(arity) +
+              " at offset " + std::to_string(reader.pos()));
         }
-        tuples.push_back(std::move(t));
+        Cell* out = slice.AddRow();
+        for (uint64_t a = 0; a < arity; ++a) {
+          ARIADNE_ASSIGN_OR_RETURN(out[a], ReadCellTagged(reader, slice));
+        }
       }
     } else if (format == kSliceColumnar) {
       ARIADNE_ASSIGN_OR_RETURN(uint64_t arity, reader.ReadVarint());
@@ -391,16 +466,24 @@ Status DecodePage(const Page& page, Layer* layer) {
                                   " exceeds payload at offset " +
                                   std::to_string(reader.pos()));
       }
-      tuples.assign(n_tuples, Tuple(arity));
+      slice.arity = static_cast<uint32_t>(arity);
+      slice.rows = static_cast<uint32_t>(n_tuples);
+      slice.cells.resize(n_tuples * arity);
       for (uint64_t col = 0; col < arity; ++col) {
-        ARIADNE_RETURN_NOT_OK(ReadColumn(reader, tuples, col));
+        ARIADNE_RETURN_NOT_OK(ReadColumn(reader, slice, col));
       }
     } else {
       return Status::ParseError("unknown slice format " +
                                 std::to_string(format) + " at offset " +
                                 std::to_string(reader.pos()));
     }
-    layer->Add(static_cast<int>(page.header.rel), vertex, std::move(tuples));
+    if (!arities.empty() && static_cast<int>(slice.arity) != arities[rel]) {
+      return Status::ParseError(
+          "slice of vertex " + std::to_string(vertex) + " has arity " +
+          std::to_string(slice.arity) + ", relation " + std::to_string(rel) +
+          " has schema arity " + std::to_string(arities[rel]));
+    }
+    layer->Add(std::move(slice));
   }
   if (!reader.AtEnd()) {
     return Status::ParseError(
@@ -487,12 +570,14 @@ Result<LayerFrame> ReadLayerFrameFields(BinaryReader& reader) {
 
 }  // namespace
 
-Result<Layer> ReadLayerFrame(BinaryReader& reader, const std::string& where) {
+Result<Layer> ReadLayerFrame(BinaryReader& reader, const std::string& where,
+                             std::span<const int> arities) {
   const std::string at =
       where + " at offset " + std::to_string(reader.pos());
   auto frame = ReadLayerFrameFields(reader);
   if (!frame.ok()) return frame.status().WithContext("layer frame in " + at);
   const std::string& blob = frame->blob;
+  const size_t blob_begin = reader.pos() - blob.size();
   if (frame->n_pages > blob.size() / kPageWireHeaderBytes) {
     return Status::ParseError("page count " + std::to_string(frame->n_pages) +
                               " exceeds layer blob in " + at);
@@ -501,11 +586,14 @@ Result<Layer> ReadLayerFrame(BinaryReader& reader, const std::string& where) {
   layer.step = static_cast<Superstep>(frame->step);
   size_t offset = 0;
   for (uint64_t p = 0; p < frame->n_pages; ++p) {
+    const size_t page_begin = offset;
     auto page = ParsePage(blob, &offset);
     if (!page.ok()) return page.status().WithContext(where);
-    Status decoded = DecodePage(*page, &layer);
+    Status decoded = DecodePage(*page, &layer, arities);
     if (!decoded.ok()) {
-      return decoded.WithContext(where + " page " + std::to_string(p));
+      return decoded.WithContext(where + " page " + std::to_string(p) +
+                                 " at offset " +
+                                 std::to_string(blob_begin + page_begin));
     }
   }
   if (offset != blob.size()) {

@@ -2,6 +2,7 @@
 #define ARIADNE_STORAGE_PAGE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -111,8 +112,11 @@ class ByteReader {
 std::vector<Page> EncodeLayer(const Layer& layer, size_t page_size);
 
 /// Appends the slices of `page` to `layer` in encoded order, validating
-/// every count against the remaining payload bytes.
-Status DecodePage(const Page& page, Layer* layer);
+/// every count against the remaining payload bytes. With a schema
+/// (`arities[rel]` = arity of store relation `rel`), a page of a relation
+/// outside it, or a slice of another arity, is a ParseError.
+Status DecodePage(const Page& page, Layer* layer,
+                  std::span<const int> arities = {});
 
 // ---- Page wire format ----
 
@@ -136,11 +140,13 @@ Result<Page> ParsePage(std::string_view data, size_t* offset);
 /// depend on any spill configuration.
 void WriteLayerFrame(const Layer& layer, BinaryWriter& writer);
 
-/// Parses one layer frame from `reader`. Bounds the page count by the
-/// blob size and rejects trailing bytes in the blob; every error carries
-/// `where` (the file and layer being read) and, for structural errors,
-/// the byte offset.
-Result<Layer> ReadLayerFrame(BinaryReader& reader, const std::string& where);
+/// Parses one layer frame from `reader`, decoding its pages against the
+/// schema `arities` (see DecodePage). Bounds the page count by the blob
+/// size and rejects trailing bytes in the blob; every error carries
+/// `where` (the file and layer being read) and, for structural and
+/// schema errors, the byte offset.
+Result<Layer> ReadLayerFrame(BinaryReader& reader, const std::string& where,
+                             std::span<const int> arities);
 
 }  // namespace ariadne::storage
 

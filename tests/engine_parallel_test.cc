@@ -304,7 +304,7 @@ TEST(CaptureDedupTest, FastCaptureMatchesInterpretedOnMultigraphHub) {
     const LayerSlice* hub_sends =
         FindSlice(interpreted.layers[0], interpreted.send_rel, 0);
     ASSERT_NE(hub_sends, nullptr) << name;
-    EXPECT_EQ(hub_sends->tuples.size(), 23u) << name;
+    EXPECT_EQ(hub_sends->size(), 23u) << name;
     for (size_t threads : {size_t{1}, size_t{3}, size_t{4}}) {
       SCOPED_TRACE(std::string(name) + " threads=" + std::to_string(threads));
       const CapturedLayers fast =
@@ -330,7 +330,7 @@ TEST(CaptureDedupTest, FastCaptureMatchesInterpretedOnMultigraphHub) {
   const CapturedLayers sssp = CaptureLayers(g, SsspProgram(0), 4, true);
   const LayerSlice* received = FindSlice(sssp.layers[1], sssp.receive_rel, 1);
   ASSERT_NE(received, nullptr);
-  EXPECT_EQ(received->tuples.size(), 1u);
+  EXPECT_EQ(received->size(), 1u);
 }
 
 // ----------------------------------------------------- per-phase timings

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "eval/common.h"
 #include "pql/parser.h"
 #include "pql/queries.h"
@@ -98,6 +100,19 @@ TEST(ShipDeltaTest, RoutingFilterSelectsPredicates) {
             nullptr);
 }
 
+LayerSlice RunOf(const std::vector<Tuple>& tuples, size_t arity) {
+  LayerSlice run;
+  run.arity = static_cast<uint32_t>(arity);
+  for (const Tuple& t : tuples) run.AppendTuple(t);
+  return run;
+}
+
+std::vector<Tuple> RowsOf(const LayerSlice& run) {
+  std::vector<Tuple> out;
+  for (size_t i = 0; i < run.size(); ++i) out.push_back(run.TupleAt(i));
+  return out;
+}
+
 TEST(DedupKeepFirstTest, KeepsFirstOccurrencesInOrder) {
   // Short and long runs (the table grows with the run) must both keep
   // exactly the first occurrence of each tuple, in order.
@@ -116,12 +131,80 @@ TEST(DedupKeepFirstTest, KeepsFirstOccurrencesInOrder) {
     // Strict value equality: an int and the equal double are distinct.
     tuples.push_back({Value(int64_t{7}), Value(0.0), Value(0.0)});
     want.push_back({Value(int64_t{7}), Value(0.0), Value(0.0)});
-    DedupKeepFirst(tuples);
-    EXPECT_EQ(tuples, want);
+    LayerSlice run = RunOf(tuples, 3);
+    DedupKeepFirst(run);
+    EXPECT_EQ(RowsOf(run), want);
+    EXPECT_EQ(run.cells.size(), want.size() * 3);
   }
-  std::vector<Tuple> empty;
+  LayerSlice empty;
+  empty.arity = 3;
   DedupKeepFirst(empty);
   EXPECT_TRUE(empty.empty());
+}
+
+TEST(DedupKeepFirstTest, VerdictsMatchRelationInsert) {
+  // Every row is checked against a Relation, whose Insert defines set
+  // semantics for tuples: the flat dedup must keep exactly the rows
+  // Insert accepts, in first-occurrence order, and account their bytes.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Value loc(int64_t{4});
+  const std::vector<Tuple> tuples = {
+      {loc, Value(0.0), Value("a")},
+      {loc, Value(-0.0), Value("a")},  // 0.0 == -0.0: dropped
+      {loc, Value(nan), Value("a")},
+      {loc, Value(nan), Value("a")},  // NaN != NaN: kept again
+      {loc, Value(int64_t{1}), Value("b")},
+      {loc, Value(1.0), Value("b")},  // Int(1) != Double(1.0): kept
+      {loc, Value(int64_t{1}), Value(std::string("b"))},  // dropped
+      {loc, Value(std::vector<double>{1.0, 2.0}), Value("")},
+      {loc, Value(std::vector<double>{1.0, 2.0}), Value("")},  // dropped
+      {loc, Value(std::vector<double>{1.0, -0.0}), Value("")},
+      {loc, Value(std::vector<double>{1.0, 0.0}), Value("")},  // dropped
+      {loc, Value(std::vector<double>{nan}), Value("")},
+      {loc, Value(std::vector<double>{nan}), Value("")},  // kept again
+      {loc, Value(), Value("c")},
+      {loc, Value(), Value("c")},  // null == null: dropped
+      {loc, Value("ab"), Value("c")},
+      {loc, Value("a"), Value("bc")},  // different split: kept
+  };
+  Relation relation(3);
+  std::vector<Tuple> want;
+  size_t want_bytes = 0;
+  for (const Tuple& t : tuples) {
+    if (relation.Insert(t)) {
+      want.push_back(t);
+      want_bytes += TupleByteSize(t);
+    }
+  }
+  ASSERT_EQ(want.size(), 12u);
+  LayerSlice run = RunOf(tuples, 3);
+  DedupKeepFirst(run);
+  ASSERT_EQ(run.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    // TupleToString: NaN rows compare unequal even to themselves.
+    EXPECT_EQ(TupleToString(run.TupleAt(i)), TupleToString(want[i]))
+        << "row " << i;
+  }
+  EXPECT_EQ(run.ByteSize(), want_bytes);
+  EXPECT_EQ(relation.byte_size(), want_bytes);
+
+  // The read path's insert-from-cells agrees with Insert too.
+  Relation from_cells(3);
+  for (size_t i = 0; i < run.size(); ++i) {
+    EXPECT_TRUE(from_cells.InsertCells({run.row(i), run.arity}, run.side))
+        << "row " << i;
+  }
+  LayerSlice again = RunOf(tuples, 3);
+  size_t accepted = 0;
+  for (size_t i = 0; i < again.size(); ++i) {
+    accepted += from_cells.InsertCells({again.row(i), again.arity},
+                                       again.side)
+                    ? 1
+                    : 0;
+  }
+  // Only the NaN rows are new again (NaN never equals a stored NaN).
+  EXPECT_EQ(accepted, 4u);
+  EXPECT_EQ(from_cells.size(), want.size() + 4);
 }
 
 TEST(RetentionTest, DropsOnlySteppedEdbHistory) {

@@ -46,7 +46,7 @@ TEST_F(ChainSsspFixture, FullCaptureContents) {
     for (int s = 0; s < store.num_layers(); ++s) {
       const Layer* layer = *store.GetLayer(s);
       for (const auto& slice : layer->slices) {
-        if (slice.rel == rel) n += static_cast<int64_t>(slice.tuples.size());
+        if (slice.rel == rel) n += static_cast<int64_t>(slice.size());
       }
     }
     return n;
@@ -203,9 +203,9 @@ TEST_F(ChainSsspFixture, GenericCaptureMatchesFastPath) {
     for (int s = 0; s < store.num_layers(); ++s) {
       const Layer* layer = *store.GetLayer(s);
       for (const auto& slice : layer->slices) {
-        for (const Tuple& t : slice.tuples) {
+        for (size_t i = 0; i < slice.size(); ++i) {
           out.push_back(store.schema()[static_cast<size_t>(slice.rel)].name +
-                        TupleToString(t));
+                        TupleToString(slice.TupleAt(i)));
         }
       }
     }

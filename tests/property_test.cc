@@ -260,7 +260,7 @@ TEST_P(CaptureCompletenessTest, StoreAccountsForEveryEventTheEngineSaw) {
     for (int s = 0; s < store.num_layers(); ++s) {
       const Layer* layer = *store.GetLayer(s);
       for (const auto& slice : layer->slices) {
-        if (slice.rel == rel) n += static_cast<int64_t>(slice.tuples.size());
+        if (slice.rel == rel) n += static_cast<int64_t>(slice.size());
       }
     }
     return n;
@@ -386,9 +386,10 @@ TEST_P(StoreRoundTripTest, SaveLoadAndSpillPreserveRandomContents) {
     for (int i = 0; i < s.num_layers(); ++i) {
       const Layer* layer = *s.GetLayer(i);
       for (const auto& slice : layer->slices) {
-        for (const Tuple& t : slice.tuples) {
+        for (size_t i = 0; i < slice.size(); ++i) {
           out.push_back(std::to_string(slice.rel) + "@" +
-                        std::to_string(slice.vertex) + TupleToString(t));
+                        std::to_string(slice.vertex) +
+                        TupleToString(slice.TupleAt(i)));
         }
       }
     }
@@ -497,8 +498,9 @@ TEST_P(BackwardTraceTest, TraceEqualsReverseReachabilityOverSends) {
     const Layer* layer = *store.GetLayer(s);
     for (const auto& slice : layer->slices) {
       if (slice.rel != send_rel) continue;
-      for (const Tuple& t : slice.tuples) {
-        sends[layer->step].emplace_back(t[0].AsInt(), t[1].AsInt());
+      for (size_t i = 0; i < slice.size(); ++i) {
+        const Cell* t = slice.row(i);
+        sends[layer->step].emplace_back(t[0].i, t[1].i);
       }
     }
   }

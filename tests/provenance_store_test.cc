@@ -72,7 +72,7 @@ TEST(ProvenanceStoreTest, SpillAndReload) {
   auto layer = store.GetLayer(0);
   ASSERT_TRUE(layer.ok()) << layer.status().ToString();
   ASSERT_EQ((*layer)->slices.size(), 1u);
-  EXPECT_EQ((*layer)->slices[0].tuples.size(), 50u);
+  EXPECT_EQ((*layer)->slices[0].size(), 50u);
   EXPECT_EQ((*layer)->slices[0].vertex, 0);
 }
 
@@ -89,7 +89,7 @@ TEST(ProvenanceStoreTest, SpillDuringAppend) {
   for (int s = 0; s < 4; ++s) {
     auto layer = store.GetLayer(s);
     ASSERT_TRUE(layer.ok());
-    EXPECT_EQ((*layer)->slices[0].tuples.size(), 20u);
+    EXPECT_EQ((*layer)->slices[0].size(), 20u);
   }
 }
 

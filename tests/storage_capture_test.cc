@@ -81,6 +81,22 @@ class StorageCaptureTest : public testing::Test {
   Graph graph_;
 };
 
+TEST_F(StorageCaptureTest, InlineFlusherSpillingCaptureCompletes) {
+  // flush_threads = 0 flushes on the appending thread. Append used to
+  // queue the flush while holding the layer store's mutex, and the flush
+  // took that mutex again: the capture hung at its first barrier.
+  ProvenanceStore inline_store;
+  CaptureStore(&inline_store, Dir("inline"), 0, 0, 3);
+  EXPECT_EQ(inline_store.SpilledLayerCount(), inline_store.num_layers());
+  ProvenanceStore threaded_store;
+  CaptureStore(&threaded_store, Dir("threaded"), 0, 1, 3);
+  auto inline_image = inline_store.SerializeToString();
+  auto threaded_image = threaded_store.SerializeToString();
+  ASSERT_TRUE(inline_image.ok()) << inline_image.status().ToString();
+  ASSERT_TRUE(threaded_image.ok()) << threaded_image.status().ToString();
+  EXPECT_EQ(*inline_image, *threaded_image);
+}
+
 TEST_F(StorageCaptureTest, SpilledSaveIsByteIdenticalToInMemory) {
   // Reference: unbounded in-memory capture, single-threaded engine.
   ProvenanceStore reference;

@@ -116,15 +116,15 @@ TEST(PageCodecTest, LayerFrameRoundTrips) {
   storage::WriteLayerFrame(layer, writer);
   storage::WriteLayerFrame(Layer{}, writer);  // empty layer: zero pages
   BinaryReader reader(writer.MoveData());
-  auto decoded = storage::ReadLayerFrame(reader, "frame-test");
+  auto decoded = storage::ReadLayerFrame(reader, "frame-test", {});
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(*decoded, layer);
-  auto empty = storage::ReadLayerFrame(reader, "frame-test");
+  auto empty = storage::ReadLayerFrame(reader, "frame-test", {});
   ASSERT_TRUE(empty.ok()) << empty.status().ToString();
   EXPECT_EQ(*empty, Layer{});
   EXPECT_TRUE(reader.AtEnd());
   // A truncated frame fails with the caller's context and the offset.
-  auto truncated = storage::ReadLayerFrame(reader, "frame-test");
+  auto truncated = storage::ReadLayerFrame(reader, "frame-test", {});
   ASSERT_FALSE(truncated.ok());
   EXPECT_NE(truncated.status().message().find("frame-test"),
             std::string::npos);
@@ -267,6 +267,29 @@ TEST_F(LayerStoreTest, SpillsAndReadsBack) {
   EXPECT_LT(stats.CompressionRatio(), 1.0);
 }
 
+TEST_F(LayerStoreTest, InlineFlusherConfigureAndAppendComplete) {
+  // With flush_threads = 0 both Configure (flushing existing layers) and
+  // Append run the flush on the calling thread; neither may hold the
+  // store's mutex while it does.
+  LayerStore store;
+  for (Superstep s = 0; s < 3; ++s) {
+    ASSERT_TRUE(store.Append(std::make_shared<Layer>(MixedLayer(s, 30))).ok());
+  }
+  LayerStoreOptions options;
+  options.dir = Dir("inline");
+  options.mem_budget_bytes = 0;
+  options.flush_threads = 0;
+  ASSERT_TRUE(store.Configure(options).ok());
+  EXPECT_EQ(store.SpilledCount(), 3);
+  const Layer appended = MixedLayer(3, 30);
+  ASSERT_TRUE(store.Append(std::make_shared<Layer>(appended)).ok());
+  ASSERT_TRUE(store.Drain().ok());
+  EXPECT_EQ(store.SpilledCount(), 4);
+  auto read = store.Read(3);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(**read, appended);
+}
+
 TEST_F(LayerStoreTest, RelationFilteredReadTouchesOnlyMatchingPages) {
   LayerStore store;
   auto layer = std::make_shared<Layer>(MixedLayer(0, 200));
@@ -293,7 +316,7 @@ TEST_F(LayerStoreTest, RelationFilteredReadTouchesOnlyMatchingPages) {
   Layer expected;
   expected.step = 0;
   for (const auto& slice : (*full)->slices) {
-    if (slice.rel == 0) expected.Add(slice.rel, slice.vertex, slice.tuples);
+    if (slice.rel == 0) expected.Add(slice);
   }
   EXPECT_EQ(**only0, expected);
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "provenance/store.h"
 #include "storage/layer.h"
@@ -234,6 +235,105 @@ TEST_F(StoreCorruptionTest, RetiredFormatVersionsAreRefused) {
     EXPECT_NE(loaded.status().message().find(name), std::string::npos)
         << loaded.status().ToString();
   }
+}
+
+// ---- Schema checks on decode: checksum-valid images whose pages do not
+// fit the schema they are loaded under fail with a ParseError naming the
+// page and its offset in the image.
+
+/// An image (value/3 schema, empty static layer) whose one superstep
+/// layer is the serialized pages `blob`.
+std::string ImageWithPages(const std::string& blob, uint64_t n_pages) {
+  BinaryWriter body = BodyPrefix();
+  body.WriteU64(1);
+  body.WriteI64(0);
+  body.WriteU64(n_pages);
+  body.WriteString(blob);
+  return Seal(body.data());
+}
+
+/// Loads `image` and expects a ParseError naming page 0 at the offset of
+/// `blob` in the image, plus `what`.
+void ExpectPageRejected(const std::string& image, const std::string& blob,
+                        const std::string& what) {
+  auto loaded = ProvenanceStore::LoadFromBytes(image, "crafted.apv");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsParseError()) << loaded.status().ToString();
+  const std::string& message = loaded.status().message();
+  const std::string page_at =
+      "page 0 at offset " + std::to_string(image.find(blob));
+  EXPECT_NE(message.find(page_at), std::string::npos) << message;
+  EXPECT_NE(message.find("crafted.apv (layer 0)"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find(what), std::string::npos) << message;
+}
+
+/// A page of relation 0 holding one row-major slice of vertex 7 whose
+/// rows have the given arities (int cells).
+std::string RowMajorPageBlob(const std::vector<int>& arities) {
+  storage::Page page;
+  page.header.first_vertex = page.header.last_vertex = 7;
+  page.header.slice_count = 1;
+  std::string& p = page.payload;
+  storage::AppendZigzag(&p, 7);
+  storage::AppendVarint(&p, arities.size());
+  p.push_back(1);  // row-major slice format
+  for (int arity : arities) {
+    storage::AppendVarint(&p, static_cast<uint64_t>(arity));
+    for (int c = 0; c < arity; ++c) {
+      p.push_back(static_cast<char>(Value::Kind::kInt));
+      storage::AppendZigzag(&p, 7 + c);
+    }
+  }
+  std::string blob;
+  storage::SerializePage(page, &blob);
+  return blob;
+}
+
+TEST(StoreSchemaCheckTest, SliceArityOtherThanSchemaFailsLoad) {
+  Layer layer;
+  layer.Add(0, 7, {{Value(int64_t{7}), Value(1.5)}});  // value has arity 3
+  uint64_t n_pages = 0;
+  const std::string blob = PageBlob(layer, &n_pages);
+  ExpectPageRejected(ImageWithPages(blob, n_pages), blob,
+                     "has arity 2, relation 0 has schema arity 3");
+}
+
+TEST(StoreSchemaCheckTest, PageRelationOutsideSchemaFailsLoad) {
+  Layer layer;
+  layer.Add(4, 7, {{Value(int64_t{7}), Value(1.5), Value(int64_t{0})}});
+  uint64_t n_pages = 0;
+  const std::string blob = PageBlob(layer, &n_pages);
+  ExpectPageRejected(ImageWithPages(blob, n_pages), blob,
+                     "page relation id 4 outside the schema (1 relations)");
+}
+
+TEST(StoreSchemaCheckTest, MixedArityRowMajorSliceFailsLoad) {
+  const std::string blob = RowMajorPageBlob({3, 2});
+  ExpectPageRejected(ImageWithPages(blob, 1), blob,
+                     "row-major slice mixes arities 3 and 2");
+  // The flat slice form cannot hold it even without a schema.
+  size_t offset = 0;
+  auto page = storage::ParsePage(blob, &offset);
+  ASSERT_TRUE(page.ok()) << page.status().ToString();
+  Layer layer;
+  EXPECT_TRUE(storage::DecodePage(*page, &layer).IsParseError());
+}
+
+TEST(StoreSchemaCheckTest, UniformRowMajorSliceOfSchemaArityLoads) {
+  const std::string blob = RowMajorPageBlob({3, 3});
+  auto loaded =
+      ProvenanceStore::LoadFromBytes(ImageWithPages(blob, 1), "crafted.apv");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto layer = loaded->GetLayer(0);
+  ASSERT_TRUE(layer.ok()) << layer.status().ToString();
+  ASSERT_EQ((*layer)->slices.size(), 1u);
+  const LayerSlice& slice = (*layer)->slices[0];
+  EXPECT_EQ(slice.vertex, 7);
+  EXPECT_EQ(slice.arity, 3u);
+  ASSERT_EQ(slice.size(), 2u);
+  EXPECT_EQ(TupleToString(slice.TupleAt(1)), "(7, 8, 9)");
+  EXPECT_EQ((*layer)->byte_size, 2u * (8 + 3 * 8));
 }
 
 }  // namespace
